@@ -78,7 +78,6 @@ def batched_deterministic_order(
     ages: Optional[np.ndarray],
     tie_breaker: str,
     rngs: Sequence[np.random.Generator],
-    out_tie_keys: Optional[np.ndarray] = None,
     prev_perm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Batched equivalent of ``rankers._deterministic_order`` row by row.
@@ -91,10 +90,6 @@ def batched_deterministic_order(
         tie_breaker: one of ``TIE_BREAKERS``.
         rngs: one generator per row; consulted (one ``random(n)`` draw per
             row, same as the sequential path) only for ``"random"``.
-        out_tie_keys: optional ``(R, n)`` float buffer; with
-            ``tie_breaker="random"`` the per-row tie keys are drawn into it,
-            so callers that *maintain* the resulting order (the serving
-            sweep) can keep the keys alongside the permutation.
         prev_perm: optional ``(R, n)`` hint — each row's permutation from
             the previous ranking of the same community.  On near-sorted
             days the backend merges the surviving sorted runs instead of
@@ -106,10 +101,7 @@ def batched_deterministic_order(
         ``_deterministic_order(scores[r], ages[r], tie_breaker, rngs[r])``
         would return.
     """
-    return get_backend().rank_day(
-        scores, ages, tie_breaker, rngs,
-        out_tie_keys=out_tie_keys, prev_perm=prev_perm,
-    )
+    return get_backend().rank_day(scores, ages, tie_breaker, rngs, prev_perm=prev_perm)
 
 
 def batched_merge_counts(

@@ -66,9 +66,7 @@ def check_tie_breaker(tie_breaker: str) -> None:
 
 
 def draw_tie_keys(
-    rngs: Sequence[np.random.Generator],
-    shape: Tuple[int, int],
-    out: Optional[np.ndarray] = None,
+    rngs: Sequence[np.random.Generator], shape: Tuple[int, int]
 ) -> np.ndarray:
     """Per-row uniform tie keys, drawn exactly as the sequential path draws.
 
@@ -78,9 +76,7 @@ def draw_tie_keys(
     ``random(n)`` call per row — regardless of which backend sorts.
     """
     R, n = shape
-    tie_keys = out if out is not None else np.empty((R, n), dtype=float)
-    if tie_keys.shape != (R, n):
-        raise ValueError("out_tie_keys must have shape (%d, %d)" % (R, n))
+    tie_keys = np.empty((R, n), dtype=float)
     for row in range(R):
         rngs[row].random(out=tie_keys[row])
     return tie_keys
@@ -200,7 +196,6 @@ class KernelBackend(abc.ABC):
         ages: Optional[np.ndarray],
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
-        out_tie_keys: Optional[np.ndarray] = None,
         prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Batched descending order over ``(R, n)`` scores with exact ties.

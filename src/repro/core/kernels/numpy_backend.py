@@ -94,7 +94,6 @@ class NumpyKernelBackend(KernelBackend):
         ages: Optional[np.ndarray],
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
-        out_tie_keys: Optional[np.ndarray] = None,
         prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         from repro.core.batch_rank import _flat_take
@@ -105,7 +104,7 @@ class NumpyKernelBackend(KernelBackend):
         if tie_breaker == "random":
             # Drawn before the sort path is chosen: RNG consumption must not
             # depend on whether the adaptive hint is taken (parity contract).
-            tie_keys = draw_tie_keys(rngs, (R, n), out=out_tie_keys)
+            tie_keys = draw_tie_keys(rngs, (R, n))
         elif tie_breaker == "age":
             if ages is None:
                 # The sequential path substitutes zero ages when none are
@@ -475,9 +474,28 @@ class NumpyKernelBackend(KernelBackend):
         by page index ascending (``index``); remaining ties fall back to
         page index, matching ``np.lexsort`` stability in the sequential
         path.
+
+        Under ``random`` a row is repaired by one int64 sort
+        (:meth:`_repair_random_rows`).  Its tie runs are numbered 1, 2, ...
+        in sorted order, each run member is keyed by
+        ``run << 53 | int(tie_key * 2**53)``, and the members are written
+        back in ``np.argsort`` order of that key: the run number keeps each
+        member inside its own run's positions, and the low bits order it
+        within the run.  The key reproduces the ``lexsort`` order bit for
+        bit because ``Generator.random`` returns multiples of 2**-53 in
+        [0, 1), which the scaling maps one to one onto the low 53 bits; any
+        other value in [0, 1) truncates monotonically, so an error can only
+        show up as two equal keys.  A row keeps the per-run loop below when
+        two of its keys are equal (equal tie keys need page-index order),
+        when it has 1024 or more runs (the run number would overflow the 10
+        bits above the tie key), or when a tie key lies outside [0, 1).
+        The ``age`` and ``index`` rules always take the per-run loop.
         """
         equal_next = sorted_keys[:, 1:] == sorted_keys[:, :-1]
-        for row in np.flatnonzero(equal_next.any(axis=1)):
+        rows = np.flatnonzero(equal_next.any(axis=1))
+        if tie_breaker == "random" and rows.size:
+            rows = self._repair_random_rows(perm, equal_next, tie_keys, rows)
+        for row in rows:
             pairs = np.flatnonzero(equal_next[row])
             # Contiguous stretches of `pairs` are single runs of equal keys.
             breaks = np.flatnonzero(np.diff(pairs) > 1)
@@ -495,6 +513,49 @@ class NumpyKernelBackend(KernelBackend):
                         np.argsort(-ages[row, members], kind="stable")
                     ]
                 perm[row, a:b] = members
+
+    def _repair_random_rows(
+        self,
+        perm: np.ndarray,
+        equal_next: np.ndarray,
+        tie_keys: np.ndarray,
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """The integer-key repair of :meth:`_repair_tie_runs`, row by row.
+
+        Repairs each row of ``rows`` in place, or leaves it unchanged when
+        one of the three fallbacks applies; returns the rows left unchanged.
+        """
+        n = perm.shape[1]
+        after = np.zeros(n, dtype=bool)  # position equals its predecessor
+        member = np.empty(n, dtype=bool)  # position equals a neighbour
+        declined: List[int] = []
+        for row in rows.tolist():
+            eq = equal_next[row]
+            after[1:] = eq
+            member[:] = after
+            member[:-1] |= eq
+            positions = np.flatnonzero(member)
+            perm_row = perm[row]  # 1-D views index ~2x faster than perm[row, i]
+            pages = perm_row[positions]
+            ties = tie_keys[row][pages]
+            if not (ties.min() >= 0.0 and ties.max() < 1.0):  # NaN fails too
+                declined.append(row)
+                continue
+            # A member that does not equal its predecessor starts a run.
+            keys = np.cumsum(~after[positions], dtype=np.int64)
+            if keys[-1] >= 1 << 10:
+                declined.append(row)
+                continue
+            keys <<= 53
+            keys |= (ties * 2.0**53).astype(np.int64)
+            order = np.argsort(keys)
+            keys = keys[order]
+            if (keys[1:] == keys[:-1]).any():
+                declined.append(row)
+                continue
+            perm_row[positions] = pages[order]
+        return np.asarray(declined, dtype=np.int64)
 
     # ---------------------------------------------------- promotion_merge
 

@@ -175,7 +175,7 @@ class ShardSupervisor:
 
         The checkpoint and journal survive (they model durable storage);
         everything the engine holds in memory — popularity state, the
-        maintained order, tie keys, cached pages — is gone.  The pre-crash
+        maintained order, cached pages — is gone.  The pre-crash
         digest is taken first so recovery can prove bit-identity.
         """
         engine = self.engine
@@ -186,7 +186,6 @@ class ShardSupervisor:
         self.crashed = True
         engine.state = None
         engine._order = None
-        engine._tie_key = None
         engine._order_version = -1
         engine._dirty_scratch = None
         engine._promoted_mask = None
@@ -209,7 +208,6 @@ class ShardSupervisor:
         engine.state = state
         engine.day = self.checkpoint.day + days
         engine._order = None
-        engine._tie_key = None
         engine._order_version = -1
         engine._dirty_scratch = None
         engine._promoted_mask = None

@@ -63,7 +63,7 @@ class ServingConfig:
     feedback_rate: float = 0.2
     # Route engine full re-sorts through the adaptive rank_day router
     # (copy / run-merge / windowed / full), using the maintained order as
-    # the near-sorted hint; bit-identical to the plain lexsort path.
+    # the near-sorted hint; bit-identical to the unhinted full sort.
     adaptive_rank: bool = False
     # Multi-tenant pool shape (workers == 0 selects the in-process router).
     tenants: int = 1

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.community.config import CommunityConfig
 from repro.community.lifecycle import Lifecycle, PoissonLifecycle
+from repro.core.batch_rank import batched_deterministic_order
 from repro.core.kernels import merge_repair
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.core.rankers import RandomizedPromotionRanker
@@ -95,15 +96,13 @@ class ServingEngine:
         self.telemetry = NULL_RECORDER
         self.faults = NULL_INJECTOR
         self._policy_tag = policy.describe()
-        # Maintained descending-popularity order.  Ties are broken by a
-        # random per-page key drawn once per engine (refreshed on full
-        # re-sorts): a fixed index order would pin the huge zero-popularity
-        # tie group and starve most cold pages of traffic forever, while
-        # per-call re-randomization (what the exact ranker does) cannot be
-        # maintained incrementally.  Pages moved by a repair re-enter at the
-        # back of their new tie group.
+        # Maintained descending-popularity order.  Ties are broken by
+        # random per-page keys drawn at each full sort: a fixed index order
+        # would pin the huge zero-popularity tie group and starve most cold
+        # pages of traffic forever, while per-call re-randomization (what
+        # the exact ranker does) cannot be maintained incrementally.  Pages
+        # moved by a repair re-enter at the back of their new tie group.
         self._order: Optional[np.ndarray] = None
-        self._tie_key: Optional[np.ndarray] = None
         self._order_version = -1
         self._dirty_scratch: Optional[np.ndarray] = None  # reusable repair mask
         # The selective rule's pool (zero-awareness pages) is maintained
@@ -185,22 +184,36 @@ class ServingEngine:
     def _refresh_order(self) -> None:
         state = self.state
         if self._order is None:
-            pop = state.popularity
-            self._tie_key = self.rng.random(state.n)
-            self._order = np.lexsort((self._tie_key, -pop))
+            self._sort_order()
             if self._selective:
                 self._promoted_mask = state.pool.aware_count < 1.0 - 1e-9
             state.consume_dirty()
             self._order_version = state.version
-            self.full_sorts += 1
-            if self.telemetry.enabled:
-                self.telemetry.record_full_sort()
             return
         if self._order_version == state.version:
             return
         dirty = state.consume_dirty()
         self._repair_order(dirty)
         self._order_version = state.version
+
+    def _sort_order(self) -> None:
+        """Fully re-sort the maintained order through the ``rank_day`` kernel.
+
+        One ``random(n)`` tie-key draw from the engine's generator, as the
+        exact ranker draws.  With ``adaptive_rank`` the current order is the
+        kernel router's near-sorted hint (copy / run-merge / windowed /
+        full); the result is bit-identical either way.
+        """
+        hint = None
+        if self.adaptive_rank and self._order is not None:
+            hint = self._order[None, :]
+        self._order = batched_deterministic_order(
+            self.state.popularity[None, :], None, "random", [self.rng],
+            prev_perm=hint,
+        )[0]
+        self.full_sorts += 1
+        if self.telemetry.enabled:
+            self.telemetry.record_full_sort()
 
     def _repair_order(self, dirty: np.ndarray) -> None:
         state = self.state
@@ -214,29 +227,8 @@ class ServingEngine:
             return
         if dirty.size >= n // 2:
             # Most of the community moved; a fresh sort is cheaper than a
-            # merge.  With adaptive_rank the re-sort routes through the
-            # kernel layer's rank_day router with yesterday's order as
-            # the hint — same tie-key draw from the same generator, and
-            # the route decision layer (copy / run-merge / windowed /
-            # full) picks the cheapest exact path.  Bit-identical to the
-            # lexsort by the PR 5 parity contract.
-            if self.adaptive_rank:
-                from repro.core.batch_rank import batched_deterministic_order
-
-                tie_keys = np.empty((1, n), dtype=float)
-                order = batched_deterministic_order(
-                    pop[None, :], None, "random", [self.rng],
-                    out_tie_keys=tie_keys,
-                    prev_perm=self._order[None, :],
-                )
-                self._tie_key = tie_keys[0].copy()
-                self._order = order[0].copy()
-            else:
-                self._tie_key = self.rng.random(n)
-                self._order = np.lexsort((self._tie_key, -pop))
-            self.full_sorts += 1
-            if self.telemetry.enabled:
-                self.telemetry.record_full_sort()
+            # merge.
+            self._sort_order()
             return
         # The exact O(n + d log d) merge repair is shared with the grouped
         # lane_repair kernel (one implementation for both paths).

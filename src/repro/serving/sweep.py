@@ -913,23 +913,13 @@ class ServingSweep:
                 else:
                     repairs.setdefault(state.n, []).append((engine, dirty))
             engine._order_version = state.version
-        for n, group in resorts.items():
-            if len(group) == 1:
-                engine = group[0]
-                engine._tie_key = engine.rng.random(n)
-                engine._order = np.lexsort(
-                    (engine._tie_key, -engine.state.popularity)
-                )
-                engine.full_sorts += 1
-                continue
+        for group in resorts.values():
             popularity = np.stack([engine.state.popularity for engine in group])
-            tie_keys = np.empty((len(group), n), dtype=float)
             orders = batched_deterministic_order(
                 popularity,
                 None,
                 "random",
                 [engine.rng for engine in group],
-                out_tie_keys=tie_keys,
                 # Every resorting lane maintains an order already (fresh
                 # lanes go through _bootstrap); yesterday's orders are the
                 # adaptive hint.  These lanes crossed the half-dirty
@@ -939,7 +929,6 @@ class ServingSweep:
                 prev_perm=np.stack([engine._order for engine in group]),
             )
             for row, engine in enumerate(group):
-                engine._tie_key = tie_keys[row].copy()
                 engine._order = orders[row].copy()
                 engine.full_sorts += 1
         backend = get_backend()
@@ -964,21 +953,18 @@ class ServingSweep:
         groups: Dict[int, List[ServingEngine]] = {}
         for engine in engines:
             groups.setdefault(engine.state.n, []).append(engine)
-        for n, group in groups.items():
+        for group in groups.values():
             if len(group) == 1:
                 group[0]._refresh_order()
                 continue
             popularity = np.stack([engine.state.popularity for engine in group])
-            tie_keys = np.empty((len(group), n), dtype=float)
             orders = batched_deterministic_order(
                 popularity,
                 None,
                 "random",
                 [engine.rng for engine in group],
-                out_tie_keys=tie_keys,
             )
             for row, engine in enumerate(group):
-                engine._tie_key = tie_keys[row].copy()
                 engine._order = orders[row].copy()
                 if engine._selective:
                     engine._promoted_mask = (

@@ -104,14 +104,12 @@ class TimedKernelBackend(KernelBackend):
         ages: Optional[np.ndarray],
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
-        out_tie_keys: Optional[np.ndarray] = None,
         prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         started = time.perf_counter()
         try:
             return self._inner.rank_day(
-                scores, ages, tie_breaker, rngs,
-                out_tie_keys=out_tie_keys, prev_perm=prev_perm,
+                scores, ages, tie_breaker, rngs, prev_perm=prev_perm
             )
         finally:
             self._record("rank_day", started)

@@ -9,7 +9,9 @@ Three concerns live here:
 * **numpy reference semantics** — the carved-out kernels must equal the
   pre-refactor inline passes (the day tail against the hand-chained
   reference ops, the merge repair against an independent ``lexsort``
-  oracle, the grouped lane repair against the single-lane core), plus a
+  oracle, the grouped lane repair against the single-lane core, the
+  one-sort-per-row tie repair and each of its fallbacks against
+  ``lexsort`` and ``_deterministic_order``), plus a
   structural guarantee that the sweep's hot path actually routes repairs
   through one grouped ``lane_repair`` call rather than lane by lane;
 * **cross-backend bit parity** — when numba is installed, a Hypothesis
@@ -562,12 +564,10 @@ class TestAdaptiveRankDay:
         seen = []
         original = type(NUMPY_BACKEND).rank_day
 
-        def spy(self, scores, ages, tie_breaker, rngs, out_tie_keys=None,
-                prev_perm=None):
+        def spy(self, scores, ages, tie_breaker, rngs, prev_perm=None):
             seen.append(prev_perm is not None)
             return original(
-                self, scores, ages, tie_breaker, rngs,
-                out_tie_keys=out_tie_keys, prev_perm=prev_perm,
+                self, scores, ages, tie_breaker, rngs, prev_perm=prev_perm
             )
 
         monkeypatch.setattr(type(NUMPY_BACKEND), "rank_day", spy)
@@ -728,6 +728,132 @@ class TestKernelEdgeCases:
 
     def test_lane_repair_empty_lane_list(self):
         assert get_backend().lane_repair([], [], []) == []
+
+
+# ------------------------------------------------- exact tie-run repair
+
+
+class _ChosenTieKeys:
+    """Generator stand-in whose ``random`` returns chosen tie keys."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.values.copy()
+        out[...] = self.values
+        return out
+
+
+def _tie_row(case, rng):
+    """``(scores, tie_keys, keyed)`` of one row; ``keyed`` = no fallback."""
+    n = 64
+    if case in ("many_runs", "max_runs"):
+        runs = 1024 if case == "many_runs" else 1023
+        scores = np.repeat(np.arange(runs, dtype=float), 2)
+        return scores, rng.random(scores.size), case == "max_runs"
+    scores = np.floor(rng.random(n) * 4)
+    ties = rng.random(n)
+    if case == "equal_keys":
+        ties[np.flatnonzero(scores == scores[0])[:3]] = 0.5
+    elif case == "truncated_equal":
+        # Distinct keys below 2**-53 both truncate to 0: lexsort still
+        # tells them apart, so the row must fall back to exact floats.
+        run = np.flatnonzero(scores == scores[0])
+        ties[run[:2]] = [2.0**-60, 2.0**-61]
+    elif case == "key_is_one":
+        ties[3] = 1.0
+    elif case == "negative_key":
+        ties[5] = -0.25
+    elif case == "nan_key":
+        ties[7] = np.nan
+    return scores, ties, case == "keyed"
+
+
+class TestTieRunRepair:
+    """The one-sort-per-row ``random`` repair and its three fallbacks."""
+
+    @staticmethod
+    def _rank(scores, ties, monkeypatch):
+        """Numpy ``rank_day`` plus the rows the integer-key repair declined."""
+        declined = []
+        original = type(NUMPY_BACKEND)._repair_random_rows
+
+        def spy(self, perm, equal_next, tie_keys, rows):
+            out = original(self, perm, equal_next, tie_keys, rows)
+            declined.extend(out.tolist())
+            return out
+
+        monkeypatch.setattr(type(NUMPY_BACKEND), "_repair_random_rows", spy)
+        rngs = [_ChosenTieKeys(row) for row in ties]
+        return NUMPY_BACKEND.rank_day(scores, None, "random", rngs), declined
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "keyed",
+            "equal_keys",
+            "truncated_equal",
+            "key_is_one",
+            "negative_key",
+            "nan_key",
+            "many_runs",
+            "max_runs",
+        ],
+    )
+    def test_row_matches_lexsort(self, case, monkeypatch):
+        scores, ties, keyed = _tie_row(case, np.random.default_rng(3))
+        perm, declined = self._rank(scores[None, :], ties[None, :], monkeypatch)
+        np.testing.assert_array_equal(perm[0], np.lexsort((ties, -scores)))
+        assert declined == ([] if keyed else [0])
+
+    def test_mixed_batch_matches_lexsort(self, monkeypatch):
+        """Keyed and fallback rows in one call; untied rows are skipped."""
+        rng = np.random.default_rng(11)
+        cases = ["keyed", "equal_keys", "keyed", "key_is_one", "truncated_equal"]
+        rows = [_tie_row(case, rng) for case in cases]
+        untied = rng.permutation(64).astype(float)
+        rows.append((untied, rng.random(64), True))
+        scores = np.stack([row[0] for row in rows])
+        ties = np.stack([row[1] for row in rows])
+        perm, declined = self._rank(scores, ties, monkeypatch)
+        for row in range(len(rows)):
+            np.testing.assert_array_equal(
+                perm[row], np.lexsort((ties[row], -scores[row]))
+            )
+        assert declined == [1, 3, 4]
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        R=st.integers(1, 4),
+        n=st.integers(1, 80),
+        levels=st.floats(0.0, 1.0),
+        tie_breaker=st.sampled_from(["random", "age", "index"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rank_day_matches_deterministic_order(
+        self, seed, R, n, levels, tie_breaker
+    ):
+        """Scores on q levels, q = 1 (one tied run) up to q = n (no ties)."""
+        from repro.core.rankers import _deterministic_order
+
+        q = 1 + round(levels * (n - 1))
+        rng = np.random.default_rng(seed)
+        scores = np.stack([rng.permutation(n) % q for _ in range(R)]) / q
+        ages = np.floor(rng.random((R, n)) * 3) if tie_breaker == "age" else None
+        perm = NUMPY_BACKEND.rank_day(
+            scores, ages, tie_breaker, spawn_rngs(seed, R)
+        )
+        rngs = spawn_rngs(seed, R)
+        for row in range(R):
+            expected = _deterministic_order(
+                scores[row],
+                None if ages is None else ages[row],
+                tie_breaker,
+                rngs[row],
+            )
+            np.testing.assert_array_equal(perm[row], expected)
 
 
 @pytest.mark.skipif(
