@@ -566,8 +566,11 @@ def bench_numba_day_throughput():
             backend = get_backend()
             backend.warmup()
             # Untimed warm run: touches every kernel at the bench shape.
+            # One replicate block on both legs: numpy would otherwise step
+            # default_workers(R) blocks on threads while numba runs one, and
+            # the ratio would compare core counts instead of kernels.
             warm = BatchSimulator(community, policy.build_ranker(), config,
-                                  replicates=R)
+                                  replicates=R, n_workers=1)
             warm.step()
             # Best-of repeats, like every other bench here: one noisy-
             # neighbor stall inside a single timed loop must not flake the
@@ -575,7 +578,8 @@ def bench_numba_day_throughput():
             best = float("inf")
             for _ in range(3):
                 simulator = BatchSimulator(
-                    community, policy.build_ranker(), config, replicates=R
+                    community, policy.build_ranker(), config, replicates=R,
+                    n_workers=1,
                 )
                 started = time.perf_counter()
                 for _ in range(days):

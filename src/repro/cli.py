@@ -102,10 +102,10 @@ def add_serving_config_args(parser: argparse.ArgumentParser) -> None:
     )
     serving.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes: for serve-bench, pool workers hosting the "
-        "tenant shards (0/omitted = classic in-process router); for "
-        "sim-bench/sweep-bench/sweep-fig, replicate/variant sharding "
-        "width (omitted = auto-size from os.cpu_count())",
+        help="for serve-bench, pool worker processes hosting the tenant "
+        "shards (0/omitted = classic in-process router); for sim-bench, "
+        "replicate blocks stepped on threads; for sweep-bench/sweep-fig, "
+        "variant worker processes (omitted = auto-size from os.cpu_count())",
     )
     serving.add_argument(
         "--inbox-capacity", type=int, default=8,

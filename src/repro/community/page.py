@@ -13,10 +13,12 @@ vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Sequence
 
 import numpy as np
 
+from repro.utils.parallel import row_blocks, run_blocks
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -179,6 +181,7 @@ class BatchPagePool:
     ``r``'s quality, aware-user counts, creation times and page identifiers.
     Each row has its own page-id counter so its bookkeeping is bit-identical
     to a standalone :class:`PagePool` evolved with the same random stream.
+    ``copy=False`` adopts a float ``qualities`` matrix instead of copying it.
     """
 
     def __init__(
@@ -186,6 +189,8 @@ class BatchPagePool:
         qualities: np.ndarray,
         monitored_population: int,
         created_at: float = 0.0,
+        *,
+        copy: bool = True,
     ) -> None:
         qualities = np.asarray(qualities, dtype=float)
         if qualities.ndim != 2 or qualities.size == 0:
@@ -194,7 +199,7 @@ class BatchPagePool:
             raise ValueError("all quality values must lie in [0, 1]")
         check_positive_int("monitored_population", monitored_population)
         self.monitored_population = int(monitored_population)
-        self.quality = qualities.copy()
+        self.quality = qualities.copy() if copy else qualities
         self.aware_count = np.zeros_like(self.quality)
         self.created_at = np.full_like(self.quality, float(created_at))
         self.page_ids = np.tile(np.arange(self.n, dtype=np.int64), (self.replicates, 1))
@@ -246,6 +251,21 @@ class BatchPagePool:
         """Write a row view's page-id counter back after mutation."""
         self._next_page_id[row] = pool._next_page_id
 
+    def rows(self, lo: int, hi: int) -> "BatchPagePool":
+        """A pool over replicates ``[lo, hi)`` whose arrays are views of this one's.
+
+        Every write through the view — awareness, page replacement, the
+        per-row page-id counters — lands in this pool's ``(R, n)`` arrays.
+        """
+        view = BatchPagePool.__new__(BatchPagePool)
+        view.monitored_population = self.monitored_population
+        view.quality = self.quality[lo:hi]
+        view.aware_count = self.aware_count[lo:hi]
+        view.created_at = self.created_at[lo:hi]
+        view.page_ids = self.page_ids[lo:hi]
+        view._next_page_id = self._next_page_id[lo:hi]
+        return view
+
     # --- Mutation ----------------------------------------------------------
 
     def add_awareness_bulk(self, new_users: np.ndarray) -> None:
@@ -272,19 +292,28 @@ class BatchPagePool:
 
     @classmethod
     def from_config(
-        cls, config, rngs: Sequence[np.random.Generator]
+        cls, config, rngs: Sequence[np.random.Generator], n_workers: int = 1
     ) -> "BatchPagePool":
         """Build a pool of ``len(rngs)`` replicates from a community config.
 
         Each replicate's quality vector is drawn from its own generator, in
         the same way :meth:`PagePool.from_config` would with that generator,
         so the replicate-for-replicate parity with sequential runs starts at
-        initialization.
+        initialization.  The rows are sampled into one preallocated matrix,
+        in ``n_workers`` contiguous blocks run concurrently
+        (:func:`~repro.utils.parallel.run_blocks`); the matrix does not
+        depend on ``n_workers``.
         """
-        qualities = np.asarray(
-            [config.sample_qualities(as_rng(rng)) for rng in rngs], dtype=float
+        qualities = np.empty((len(rngs), config.n_pages), dtype=float)
+
+        def sample(lo: int, hi: int) -> None:
+            for row in range(lo, hi):
+                qualities[row] = config.sample_qualities(as_rng(rngs[row]))
+
+        run_blocks(
+            [partial(sample, lo, hi) for lo, hi in row_blocks(len(rngs), n_workers)]
         )
-        return cls(qualities, config.n_monitored_users)
+        return cls(qualities, config.n_monitored_users, copy=False)
 
 
 def awareness_gain_batch(

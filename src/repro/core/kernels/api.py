@@ -41,6 +41,7 @@ only deterministic array math is ever reimplemented.
 from __future__ import annotations
 
 import abc
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,7 +93,9 @@ class RankRouteStats:
     Counters only ever increase; callers snapshot before/after a region
     and difference the totals.  ``displacement_sum``/``displacement_max``
     track the estimated (numpy) or realized (numba) per-row displacement
-    bound of rows that took the windowed route.
+    bound of rows that took the windowed route.  Updates go through
+    :meth:`record` under one lock, because replicate blocks rank on
+    concurrent threads.
     """
 
     __slots__ = (
@@ -102,34 +105,51 @@ class RankRouteStats:
         "full",
         "displacement_sum",
         "displacement_max",
+        "_lock",
     )
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self.reset()
 
     def reset(self) -> None:
-        self.copy = 0
-        self.run_merge = 0
-        self.windowed = 0
-        self.full = 0
-        self.displacement_sum = 0
-        self.displacement_max = 0
+        with self._lock:
+            self.copy = 0
+            self.run_merge = 0
+            self.windowed = 0
+            self.full = 0
+            self.displacement_sum = 0
+            self.displacement_max = 0
 
-    def record_windowed(self, rows: int, displacement_sum: int, displacement_max: int) -> None:
-        self.windowed += rows
-        self.displacement_sum += displacement_sum
-        if displacement_max > self.displacement_max:
-            self.displacement_max = displacement_max
+    def record(
+        self,
+        copy: int = 0,
+        run_merge: int = 0,
+        windowed: int = 0,
+        full: int = 0,
+        displacement_sum: int = 0,
+        displacement_max: int = 0,
+    ) -> None:
+        """Add one ranking call's per-row route counts."""
+        with self._lock:
+            self.copy += copy
+            self.run_merge += run_merge
+            self.windowed += windowed
+            self.full += full
+            self.displacement_sum += displacement_sum
+            if displacement_max > self.displacement_max:
+                self.displacement_max = displacement_max
 
     def as_dict(self) -> dict:
-        return {
-            "rank_route_copy": self.copy,
-            "rank_route_run_merge": self.run_merge,
-            "rank_route_windowed": self.windowed,
-            "rank_route_full": self.full,
-            "rank_displacement_sum": self.displacement_sum,
-            "rank_displacement_max": self.displacement_max,
-        }
+        with self._lock:
+            return {
+                "rank_route_copy": self.copy,
+                "rank_route_run_merge": self.run_merge,
+                "rank_route_windowed": self.windowed,
+                "rank_route_full": self.full,
+                "rank_displacement_sum": self.displacement_sum,
+                "rank_displacement_max": self.displacement_max,
+            }
 
 
 #: The shared route-mix counter (see :class:`RankRouteStats`).
@@ -186,6 +206,10 @@ class KernelBackend(abc.ABC):
 
     #: Registry name (``"numpy"``, ``"numba"``, ...).
     name: str = "abstract"
+
+    #: Whether kernels may run on several Python threads at once.  The batch
+    #: engine steps its replicate blocks on threads only when this holds.
+    thread_safe: bool = True
 
     # ------------------------------------------------------------- kernels
 

@@ -357,6 +357,12 @@ class NumbaKernelBackend(NumpyKernelBackend):
 
     name = "numba"
 
+    # The parallel=True nests already spread rows over numba's own thread
+    # pool, and its workqueue threading layer aborts when two Python
+    # threads launch parallel kernels at once: the batch engine runs one
+    # replicate block on this backend.
+    thread_safe = False
+
     # ------------------------------------------------- rank_day (repair)
 
     def _repair_tie_runs(self, perm, sorted_keys, tie_breaker, tie_keys, ages):
@@ -398,19 +404,18 @@ class NumbaKernelBackend(NumpyKernelBackend):
             shifts,
         )
         counts = np.bincount(route, minlength=4)
-        ROUTE_STATS.copy += int(counts[ROUTE_COPY])
-        ROUTE_STATS.run_merge += int(counts[ROUTE_RUN_MERGE])
         windowed = route == ROUTE_WINDOWED
-        if counts[ROUTE_WINDOWED]:
-            ROUTE_STATS.record_windowed(
-                int(counts[ROUTE_WINDOWED]),
-                int(shifts[windowed].sum()),
-                int(shifts[windowed].max()),
-            )
+        ROUTE_STATS.record(
+            copy=int(counts[ROUTE_COPY]),
+            run_merge=int(counts[ROUTE_RUN_MERGE]),
+            windowed=int(counts[ROUTE_WINDOWED]),
+            full=int(counts[ROUTE_FULL]),
+            displacement_sum=int(shifts[windowed].sum()),
+            displacement_max=int(shifts[windowed].max(initial=0)),
+        )
         if counts[ROUTE_FULL]:
             rows = np.flatnonzero(route == ROUTE_FULL)
             out[rows] = np.argsort(negated[rows], axis=1)
-            ROUTE_STATS.full += rows.size
         return out, None
 
     # ---------------------------------------------------- promotion_merge

@@ -143,8 +143,7 @@ class NumpyKernelBackend(KernelBackend):
                 checked = sorted_keys[verify_rows]
             bad = verify_rows[np.any(checked[:, 1:] < checked[:, :-1], axis=1)]
             if bad.size:
-                ROUTE_STATS.windowed -= bad.size
-                ROUTE_STATS.full += bad.size
+                ROUTE_STATS.record(windowed=-bad.size, full=bad.size)
                 perm[bad] = np.argsort(negated[bad], axis=1)
                 sorted_keys[bad] = np.take_along_axis(
                     negated[bad], perm[bad], axis=1
@@ -197,13 +196,13 @@ class NumpyKernelBackend(KernelBackend):
         # call, full width: its window sorts are cache-local by
         # construction, so it needs no row blocking).
         if sorted_rows.all():
-            ROUTE_STATS.copy += R
+            ROUTE_STATS.record(copy=R)
             return prev_perm.copy(), None
         if displaced.all():
             return self._rank_displaced(negated, prev_keys, prev_perm)
         perm = np.empty((R, n), dtype=prev_perm.dtype)
         if sorted_rows.any():
-            ROUTE_STATS.copy += int(sorted_rows.sum())
+            ROUTE_STATS.record(copy=int(sorted_rows.sum()))
             perm[sorted_rows] = prev_perm[sorted_rows]
         if candidate.any():
             # The re-insertion analysis is ~12 elementwise passes over
@@ -216,7 +215,7 @@ class NumpyKernelBackend(KernelBackend):
                 merged, healed = self._reinsert_moved(
                     prev_keys[sub], prev_perm[sub], breaks[sub]
                 )
-                ROUTE_STATS.run_merge += int(healed.sum())
+                ROUTE_STATS.record(run_merge=int(healed.sum()))
                 perm[sub[healed]] = merged[healed]
                 if not healed.all():
                     displaced[sub[~healed]] = True
@@ -268,7 +267,7 @@ class NumpyKernelBackend(KernelBackend):
             # per-subset gathers.
             (d, row_list), = buckets.items()
             perm = self._windowed_sort_rows(prev_keys, prev_perm, d)
-            ROUTE_STATS.record_windowed(L, L * d, d)
+            ROUTE_STATS.record(windowed=L, displacement_sum=L * d, displacement_max=d)
             return perm, np.arange(L, dtype=np.int64)
         perm = np.empty((L, n), dtype=prev_perm.dtype)
         windowed: List[int] = []
@@ -278,11 +277,15 @@ class NumpyKernelBackend(KernelBackend):
                 prev_keys[rows], prev_perm[rows], d
             )
             windowed.extend(row_list)
-            ROUTE_STATS.record_windowed(rows.size, int(rows.size) * d, d)
+            ROUTE_STATS.record(
+                windowed=rows.size,
+                displacement_sum=int(rows.size) * d,
+                displacement_max=d,
+            )
         if full_rows:
             rows = np.asarray(full_rows, dtype=np.int64)
             perm[rows] = np.argsort(negated[rows], axis=1)
-            ROUTE_STATS.full += rows.size
+            ROUTE_STATS.record(full=rows.size)
         verify_rows = (
             np.asarray(sorted(windowed), dtype=np.int64) if windowed else None
         )

@@ -1133,11 +1133,9 @@ def run_sweep(
 
     Variants are independent, so with more than one worker the variant
     list is split into contiguous blocks, one :class:`ServingSweep` per
-    worker process — the same executor plumbing
-    :func:`repro.simulation.batch.run_batch` uses for replicate blocks.
-    Per-variant seeds are derived from the global variant index, so the
-    results are identical for every worker count.  ``n_workers=None``
-    auto-sizes from ``os.cpu_count()`` via
+    worker process.  Per-variant seeds are derived from the global variant
+    index, so the results are identical for every worker count.
+    ``n_workers=None`` auto-sizes from ``os.cpu_count()`` via
     :func:`repro.utils.parallel.default_workers`.
     """
     variants = list(variants)

@@ -17,17 +17,20 @@ stochastic mode as well, since the multinomial/binomial draws are taken from
 the same streams over the same index sets.  ``tests/test_batch.py`` pins
 this down.
 
-For large ``R`` the independent replicate blocks can be sharded across a
-``ProcessPoolExecutor`` (:func:`run_batch`), each worker advancing its block
-with the original generators so results stay identical to the in-process
-run regardless of the worker count.
+Replicates also share no state, so for large ``R`` the simulator splits its
+rows into contiguous blocks and steps them on threads: each block is a
+simulator over a row slice whose arrays are views of the parent's, and it
+draws from its rows' own generators, so the results do not depend on the
+number of blocks.  numpy releases the GIL in every heavy call of a day, and
+every counter and timing span stays in the one process.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Deque, List, Optional, Sequence
 
 import numpy as np
@@ -44,7 +47,7 @@ from repro.metrics.tbp import tbp_from_trajectory
 from repro.simulation.config import SimulationConfig
 from repro.simulation.result import SimulationResult
 from repro.telemetry.recorder import NULL_RECORDER
-from repro.utils.parallel import default_workers
+from repro.utils.parallel import default_workers, row_blocks, run_blocks
 from repro.utils.rng import RandomSource, spawn_rngs
 from repro.visits.attention import AttentionModel, PowerLawAttention
 from repro.visits.surfing import MixedSurfingModel
@@ -76,6 +79,19 @@ class BatchSimulator:
             (``rank_day``'s ``prev_perm`` argument).  Results are
             bit-identical either way — the kernel falls back to the full
             sort whenever the day is not actually near-sorted.
+        n_workers: number of contiguous replicate blocks stepped on
+            concurrent threads; ``None`` sizes it with
+            :func:`~repro.utils.parallel.default_workers` (at least
+            :data:`~repro.utils.parallel.MIN_TASKS_PER_WORKER` rows per
+            block, capped by the core count and ``REPRO_MAX_WORKERS``).
+            A backend that is not ``thread_safe`` (numba) gets one block.
+            Results are bit-identical for every block count.
+
+    Each block is a simulator over rows ``[lo, hi)`` whose pool, share
+    buffer and generators are views of this one's, with its own ranking
+    hint and popularity history.  :meth:`step` runs block 0 on the calling
+    thread and the others on the block pool, then joins them, so one day
+    is still one ``step()``.
     """
 
     def __init__(
@@ -90,6 +106,7 @@ class BatchSimulator:
         rngs: Optional[Sequence[np.random.Generator]] = None,
         history_length: int = 0,
         adaptive_rank: bool = False,
+        n_workers: Optional[int] = None,
     ) -> None:
         self.community = community
         self.ranker = ranker
@@ -109,13 +126,23 @@ class BatchSimulator:
         if not self.rngs:
             raise ValueError("BatchSimulator needs at least one replicate")
 
-        self.pool = BatchPagePool.from_config(community, self.rngs)
+        R = self.replicates
+        blocks = default_workers(R, n_workers) if get_backend().thread_safe else 1
+        self.pool = BatchPagePool.from_config(community, self.rngs, n_workers=blocks)
         self.day = 0
         self._history: Deque[np.ndarray] = deque(maxlen=self.history_length or None)
-        self._shares = np.empty((self.replicates, self.pool.n), dtype=float)
+        self._shares = np.empty((R, self.pool.n), dtype=float)
         self.adaptive_rank = bool(adaptive_rank)
         self._prev_order: Optional[np.ndarray] = None
         self.telemetry = NULL_RECORDER
+        #: This simulator's rows of the day's visit matrix (all of them
+        #: unless it is a block of another simulator).
+        self._rows = slice(0, R)
+        self._blocks: List[BatchSimulator] = (
+            [self]
+            if blocks == 1
+            else [self._block(lo, hi) for lo, hi in row_blocks(R, blocks)]
+        )
 
     @property
     def replicates(self) -> int:
@@ -161,11 +188,28 @@ class BatchSimulator:
         return self._step(compute_all_visits)
 
     def _step(self, compute_all_visits: bool) -> Optional[np.ndarray]:
+        tasks = [partial(block._advance, float(self.day)) for block in self._blocks]
+        if get_backend().thread_safe:
+            shares = run_blocks(tasks)
+        else:  # the backend changed after construction: stay on this thread
+            shares = [task() for task in tasks]
+        self.day += 1
+        if not compute_all_visits:
+            return None
+        # Allocated after the join, once the day's temporaries are freed.
+        visits = np.empty(self._shares.shape)
+        for block, block_shares in zip(self._blocks, shares, strict=True):
+            np.multiply(
+                block_shares, self.community.total_visit_rate, out=visits[block._rows]
+            )
+        return visits
+
+    def _advance(self, now: float) -> np.ndarray:
+        """One day of this simulator's rows; returns their visit shares."""
         pool = self.pool
-        config = self.config
         context = BatchRankingContext.from_batch_pool(
             pool,
-            now=float(self.day),
+            now=now,
             popularity_history=self._history_array(),
             prev_order=self._prev_order if self.adaptive_rank else None,
         )
@@ -185,7 +229,7 @@ class BatchSimulator:
             rankings,
             self.attention.visit_shares(pool.n),
             self.community.monitored_visit_rate,
-            config.mode,
+            self.config.mode,
             self.rngs,
             pool.aware_count,
             pool.monitored_population,
@@ -193,13 +237,10 @@ class BatchSimulator:
             surf_shares=surf_shares,
             out_shares=self._shares,
         )
-        self.lifecycle.step_batch(pool, now=float(self.day), rngs=self.rngs)
+        self.lifecycle.step_batch(pool, now=now, rngs=self.rngs)
         if self.history_length > 0:
             self._history.append(pool.popularity.copy())
-        self.day += 1
-        if compute_all_visits:
-            return shares * self.community.total_visit_rate
-        return None
+        return shares
 
     def run(self) -> List[SimulationResult]:
         """Run warm-up plus measurement; return one result per replicate."""
@@ -284,6 +325,17 @@ class BatchSimulator:
 
     # ------------------------------------------------------------ internals
 
+    def _block(self, lo: int, hi: int) -> "BatchSimulator":
+        """A simulator over rows ``[lo, hi)`` that writes into this one's arrays."""
+        block = copy.copy(self)
+        block.rngs = self.rngs[lo:hi]
+        block.pool = self.pool.rows(lo, hi)
+        block._shares = self._shares[lo:hi]
+        block._history = deque(maxlen=self.history_length or None)
+        block._rows = slice(lo, hi)
+        block._blocks = [block]
+        return block
+
     def _history_array(self) -> Optional[np.ndarray]:
         if self.history_length <= 0 or len(self._history) < 2:
             return None
@@ -304,35 +356,6 @@ class BatchSimulator:
         return slots, page_ids
 
 
-def _run_batch_block(
-    community: CommunityConfig,
-    ranker: Ranker,
-    config: SimulationConfig,
-    attention: Optional[AttentionModel],
-    surfing: Optional[MixedSurfingModel],
-    lifecycle: Optional[Lifecycle],
-    rngs: Sequence[np.random.Generator],
-    history_length: int,
-    adaptive_rank: bool = False,
-    telemetry=None,
-) -> List[SimulationResult]:
-    """Worker entry point: advance one replicate block to completion."""
-    simulator = BatchSimulator(
-        community,
-        ranker,
-        config,
-        attention=attention,
-        surfing=surfing,
-        lifecycle=lifecycle,
-        rngs=rngs,
-        history_length=history_length,
-        adaptive_rank=adaptive_rank,
-    )
-    if telemetry is not None:
-        simulator.telemetry = telemetry
-    return simulator.run()
-
-
 def run_batch(
     community: CommunityConfig,
     ranker: Ranker,
@@ -348,23 +371,16 @@ def run_batch(
     adaptive_rank: bool = False,
     telemetry=None,
 ) -> List[SimulationResult]:
-    """Run ``R`` replicates through the batch engine, optionally sharded.
+    """Run ``R`` replicates through the batch engine; one result per replicate.
 
-    A live ``telemetry`` recorder (per-day step timings and kernel spans)
-    is process-local state, so it pins the run in-process (one worker).
-
-    With more than one worker the replicate rows are split into contiguous
-    blocks, one :class:`BatchSimulator` per worker process.  Replicates are
-    independent, so the workers never communicate and the results (ordered
-    by replicate) are identical to the single-process run: each replicate
-    keeps its own generator wherever it executes.
-
-    ``n_workers=None`` auto-sizes the pool from ``os.cpu_count()`` through
-    :func:`repro.utils.parallel.default_workers`: hosts with spare cores
-    shard large replicate batches automatically, while small batches (fewer
-    than :data:`~repro.utils.parallel.MIN_TASKS_PER_WORKER` replicates per
-    prospective worker) stay in-process where they are faster.  Pass
-    ``n_workers=1`` to force the in-process path.
+    ``BatchSimulator(..., n_workers=n_workers).run()`` with the generators
+    spawned from ``seed`` (default ``config.seed``) unless ``rngs`` is
+    given.  ``n_workers`` is the number of replicate blocks stepped on
+    threads (``None`` auto-sizes, ``1`` steps every row on the calling
+    thread); the results, ordered by replicate, are identical for every
+    value.  A ``telemetry`` recorder observes the run without changing
+    how it executes: the blocks' kernel spans and route counters land in
+    the one process, and each day is one ``day`` row.
     """
     config = config or SimulationConfig()
     if rngs is None:
@@ -372,39 +388,21 @@ def run_batch(
     rngs = list(rngs)
     if not rngs:
         return []
-    n_workers = default_workers(len(rngs), n_workers)
-    if telemetry is not None and telemetry.enabled:
-        n_workers = 1
-    if n_workers <= 1:
-        return _run_batch_block(
-            community, ranker, config, attention, surfing, lifecycle,
-            rngs, history_length, adaptive_rank, telemetry,
-        )
-
-    blocks = np.array_split(np.arange(len(rngs)), n_workers)
-    results: List[Optional[List[SimulationResult]]] = [None] * n_workers
-    with ProcessPoolExecutor(max_workers=n_workers) as executor:
-        futures = [
-            executor.submit(
-                _run_batch_block,
-                community,
-                ranker,
-                config,
-                attention,
-                surfing,
-                lifecycle,
-                [rngs[i] for i in block],
-                history_length,
-                adaptive_rank,
-            )
-            for block in blocks
-        ]
-        for index, future in enumerate(futures):
-            results[index] = future.result()
-    flattened: List[SimulationResult] = []
-    for block_results in results:
-        flattened.extend(block_results or [])
-    return flattened
+    simulator = BatchSimulator(
+        community,
+        ranker,
+        config,
+        attention=attention,
+        surfing=surfing,
+        lifecycle=lifecycle,
+        rngs=rngs,
+        history_length=history_length,
+        adaptive_rank=adaptive_rank,
+        n_workers=n_workers,
+    )
+    if telemetry is not None:
+        simulator.telemetry = telemetry
+    return simulator.run()
 
 
 __all__ = ["BatchSimulator", "run_batch"]

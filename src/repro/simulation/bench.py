@@ -58,12 +58,12 @@ def run_simulation_benchmark(
         baseline_replicates: replicates timed through the sequential loop;
             defaults to ``min(replicates, 8)`` to keep the baseline cheap.
         warmup_days, measure_days, mode, seed: simulation window settings.
-        n_workers: optional process-pool shards for the batch engine.
+        n_workers: replicate blocks the batch engine steps on threads
+            (``None`` auto-sizes).
         check_parity: verify bit-identical per-replicate QPC between the two
             engines over the baseline replicates (fluid parity contract).
         backend: kernel backend to pin for this run (``None`` keeps the
-            process default; multi-worker runs propagate through the
-            ``REPRO_KERNEL_BACKEND`` environment variable instead).
+            process default).
         adaptive_rank: rank each batch day from the previous day's order
             via the kernel layer's near-sorted merge path (the CLI's
             ``--adaptive-rank`` toggle); bit-identical to the full sort,
@@ -165,9 +165,9 @@ def run_simulation_benchmark(
     if parity is not None:
         report["parity_bit_identical"] = 1.0 if parity else 0.0
     if routes_before is not None:
-        # Route mix of the in-process timed region (worker processes keep
-        # their own counters); the mean estimated/realized displacement
-        # bound tags the JSON with how tight the windowed route ran.
+        # Route mix of the timed region; the mean estimated/realized
+        # displacement bound tags the JSON with how tight the windowed
+        # route ran.
         after = ROUTE_STATS.as_dict()
         for key, before in routes_before.items():
             if key == "rank_displacement_max":

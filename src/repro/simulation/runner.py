@@ -13,11 +13,10 @@ changes the numbers: per-replicate results are bit-identical between
 ``engine="batch"`` and ``engine="sequential"`` at equal seeds.
 
 ``n_workers`` flows through to :func:`~repro.simulation.batch.run_batch`
-unchanged; its default (``None``) auto-sizes a process pool from
-``os.cpu_count()`` when the replicate batch is large enough to amortize the
-pool, so the figure drivers' policy sweeps shard across spare cores without
-any caller opt-in — and, replicates being stream-pinned, without changing a
-single number.
+unchanged; its default (``None``) steps large replicate batches in one
+block per core on threads, so the figure drivers' policy sweeps use spare
+cores without any caller opt-in — and, replicates being stream-pinned,
+without changing a single number.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ check and the proxy never exists: zero overhead for the default path.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,21 +43,27 @@ class Span:
 
 
 class SpanTable:
-    """Accumulates call count and total wall time per span name."""
+    """Accumulates call count and total wall time per span name.
 
-    __slots__ = ("_spans",)
+    Replicate blocks run kernels on concurrent threads, so folds take a
+    lock; spans that overlap in time each add their full duration.
+    """
+
+    __slots__ = ("_spans", "_lock")
 
     def __init__(self) -> None:
         self._spans: Dict[str, List[float]] = {}
+        self._lock = threading.Lock()
 
     def observe(self, name: str, seconds: float) -> None:
         """Fold one completed span into the table."""
-        entry = self._spans.get(name)
-        if entry is None:
-            self._spans[name] = [1.0, seconds]
-        else:
-            entry[0] += 1.0
-            entry[1] += seconds
+        with self._lock:
+            entry = self._spans.get(name)
+            if entry is None:
+                self._spans[name] = [1.0, seconds]
+            else:
+                entry[0] += 1.0
+                entry[1] += seconds
 
     def span(self, name: str) -> Span:
         """A ``with``-statement timing context recording into ``name``."""
@@ -68,10 +75,11 @@ class SpanTable:
     def as_dict(self) -> Dict[str, float]:
         """Flat ``{span_<name>_calls, span_<name>_seconds}`` report."""
         report: Dict[str, float] = {}
-        for name in sorted(self._spans):
-            count, seconds = self._spans[name]
-            report["span_%s_calls" % name] = count
-            report["span_%s_seconds" % name] = seconds
+        with self._lock:
+            for name in sorted(self._spans):
+                count, seconds = self._spans[name]
+                report["span_%s_calls" % name] = count
+                report["span_%s_seconds" % name] = seconds
         return report
 
 
@@ -90,6 +98,7 @@ class TimedKernelBackend(KernelBackend):
         self._inner = inner
         self._spans = spans
         self.name = inner.name
+        self.thread_safe = inner.thread_safe
 
     def _record(self, kernel: str, started: float) -> None:
         self._spans.observe(

@@ -9,11 +9,16 @@ verify the batched merge/order kernels against their sequential references
 by brute force.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.baselines.derivative import DerivativeForecastRanker
 from repro.community import BatchPagePool, CommunityConfig, PagePool
+from repro.community.lifecycle import FixedLifetimeLifecycle, Lifecycle
 from repro.community.page import awareness_gain, awareness_gain_batch
+from repro.core.kernels import get_backend
 from repro.core.batch_rank import (
     batched_deterministic_order,
     batched_merge_counts,
@@ -310,6 +315,25 @@ class TestBatchPagePool:
             assert np.array_equal(batch.quality[row], single.quality)
         assert batch.replicates == 3
         assert batch.n == batch_community.n_pages
+        # Rows sampled in concurrent blocks land in the same matrix.
+        for n_workers in (2, 3):
+            blocked = BatchPagePool.from_config(
+                batch_community, spawn_rngs(9, 3), n_workers=n_workers
+            )
+            assert np.array_equal(blocked.quality, batch.quality)
+            assert blocked.quality.flags.c_contiguous
+
+    def test_row_view_writes_through(self, batch_community):
+        pool = BatchPagePool.from_config(batch_community, spawn_rngs(0, 4))
+        view = pool.rows(1, 3)
+        assert view.replicates == 2
+        view.replace_row_pages(1, np.array([0, 5]), now=2.0)
+        view.aware_count[0, 7] = 4.0
+        n = pool.n
+        assert pool.page_ids[2, 0] == n and pool.page_ids[2, 5] == n + 1
+        assert pool._next_page_id.tolist() == [n, n, n + 2, n]
+        assert pool.created_at[2, 5] == 2.0
+        assert pool.aware_count[1, 7] == 4.0
 
     def test_replace_row_pages_bookkeeping(self, batch_community):
         pool = BatchPagePool.from_config(batch_community, spawn_rngs(0, 2))
@@ -348,6 +372,124 @@ class TestProcessPoolSharding:
         assert [r.qpc_absolute for r in sharded] == [
             r.qpc_absolute for r in in_process
         ]
+
+
+class _PerRowFixedLifetime(FixedLifetimeLifecycle):
+    """Fixed lifetimes through the default per-row ``step_batch`` (row views)."""
+
+    step_batch = Lifecycle.step_batch
+
+
+def _block_case(case):
+    """``BatchSimulator`` keyword arguments of one block-parity case."""
+    config = dict(warmup_days=6, measure_days=6, mode="fluid")
+    kwargs = {"ranker": RankPromotionPolicy("selective", 1, 0.2).build_ranker()}
+    if case == "stochastic":
+        config["mode"] = "stochastic"
+    elif case == "adaptive_rank":
+        config["mode"] = "stochastic"
+        kwargs["adaptive_rank"] = True
+    elif case == "probe_quality":
+        config.update(probe_quality=0.3, probe_horizon_days=9)
+    elif case == "fixed_lifetime":
+        kwargs["lifecycle"] = FixedLifetimeLifecycle(lifetime_days=4.0)
+    elif case == "row_pool_lifecycle":
+        kwargs["lifecycle"] = _PerRowFixedLifetime(lifetime_days=4.0)
+    elif case == "history":
+        kwargs["ranker"] = DerivativeForecastRanker(horizon_days=5.0)
+        kwargs["history_length"] = 3
+    kwargs["config"] = SimulationConfig(**config)
+    return kwargs
+
+
+def _block_outcome(community, case, n_workers):
+    simulator = BatchSimulator(
+        community, rngs=spawn_rngs(17, 7), n_workers=n_workers, **_block_case(case)
+    )
+    expected_blocks = n_workers if get_backend().thread_safe else 1
+    assert len(simulator._blocks) == expected_blocks
+    results = simulator.run()
+    pool = simulator.pool
+    return results, (pool.aware_count, pool.page_ids, pool._next_page_id)
+
+
+class TestReplicateBlocks:
+    """Rows stepped in concurrent blocks are bit-identical to one block."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "fluid",
+            "stochastic",
+            "adaptive_rank",
+            "probe_quality",
+            "fixed_lifetime",
+            "row_pool_lifecycle",
+            "history",
+        ],
+    )
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_blocks_bit_identical(self, batch_community, case, n_workers):
+        # R = 7 splits unevenly: 4 + 3 rows, or 3 + 2 + 2.
+        expected, expected_state = _block_outcome(batch_community, case, 1)
+        results, state = _block_outcome(batch_community, case, n_workers)
+        for ours, theirs in zip(results, expected, strict=True):
+            assert ours.qpc_absolute == theirs.qpc_absolute
+            assert ours.qpc_normalized == theirs.qpc_normalized
+            assert np.array_equal(ours.quality, theirs.quality)
+            assert np.array_equal(ours.final_awareness, theirs.final_awareness)
+            assert ours.tbp_days == theirs.tbp_days
+            if theirs.probe_trajectory is None:
+                assert ours.probe_trajectory is None
+            else:
+                assert np.array_equal(ours.probe_trajectory, theirs.probe_trajectory)
+        for ours, theirs in zip(state, expected_state, strict=True):
+            assert np.array_equal(ours, theirs)
+        if case in ("fixed_lifetime", "row_pool_lifecycle"):
+            assert (state[2] > batch_community.n_pages).all()  # pages recycled
+
+    def test_step_visits_match_one_block(self, batch_community):
+        visits = {}
+        for n_workers in (1, 2):
+            simulator = BatchSimulator(
+                batch_community, rngs=spawn_rngs(3, 7), n_workers=n_workers,
+                **_block_case("stochastic"),
+            )
+            assert simulator.step(compute_all_visits=False) is None
+            visits[n_workers] = [simulator.step() for _ in range(3)]
+        assert np.array_equal(visits[1], visits[2])
+
+    def test_backend_without_thread_safety_stays_on_the_caller(
+        self, batch_community, monkeypatch
+    ):
+        backend_class = type(get_backend())
+        built_threaded = BatchSimulator(
+            batch_community, rngs=spawn_rngs(3, 7), n_workers=2,
+            **_block_case("fluid"),
+        )
+        monkeypatch.setattr(backend_class, "thread_safe", False)
+        built_serial = BatchSimulator(
+            batch_community, rngs=spawn_rngs(3, 7), n_workers=2,
+            **_block_case("fluid"),
+        )
+        assert built_serial._blocks == [built_serial]
+        threads = set()
+        rank_day = backend_class.rank_day
+
+        def spy(self, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return rank_day(self, *args, **kwargs)
+
+        monkeypatch.setattr(backend_class, "rank_day", spy)
+        built_threaded.step()
+        built_serial.step()
+        assert threads == {threading.get_ident()}
+
+    def test_auto_sizing_keeps_small_batches_in_one_block(self, batch_community):
+        simulator = BatchSimulator(
+            batch_community, rngs=spawn_rngs(0, 15), **_block_case("fluid")
+        )
+        assert simulator._blocks == [simulator]
 
 
 class TestAttentionShareCache:

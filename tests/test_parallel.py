@@ -1,12 +1,20 @@
-"""Tests for worker-count resolution and its wiring into run_batch."""
+"""Tests for worker-count resolution, the block pool and their wiring into run_batch."""
 
+import multiprocessing
+import threading
 from unittest import mock
 
 import pytest
 
 from repro.core.policy import RECOMMENDED_POLICY
-from repro.simulation import SimulationConfig, run_batch
-from repro.utils.parallel import MIN_TASKS_PER_WORKER, default_workers
+from repro.simulation import BatchSimulator, SimulationConfig, run_batch
+from repro.utils.parallel import (
+    MIN_TASKS_PER_WORKER,
+    default_workers,
+    row_blocks,
+    run_blocks,
+)
+from repro.utils.rng import spawn_rngs
 
 
 class TestDefaultWorkers:
@@ -89,3 +97,74 @@ class TestRunBatchAutoWorkers:
         assert [r.qpc_absolute for r in auto] == [
             r.qpc_absolute for r in forced
         ]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows,blocks", [(7, 1), (7, 2), (7, 3), (32, 2), (5, 5)])
+    def test_contiguous_cover_like_array_split(self, rows, blocks):
+        bounds = row_blocks(rows, blocks)
+        assert len(bounds) == blocks
+        assert bounds[0][0] == 0 and bounds[-1][1] == rows
+        for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:], strict=True):
+            assert hi == lo
+        sizes = [hi - lo for lo, hi in bounds]
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes) - min(sizes) <= 1
+
+
+class TestRunBlocks:
+    def test_results_in_task_order_first_task_on_caller(self):
+        caller = threading.get_ident()
+        threads = run_blocks([threading.get_ident for _ in range(3)])
+        assert threads[0] == caller
+        assert caller not in threads[1:]
+        assert run_blocks([lambda i=i: i * i for i in range(4)]) == [0, 1, 4, 9]
+        assert run_blocks([]) == []
+
+    def test_joins_every_task_before_raising(self):
+        finished = threading.Event()
+
+        def slow():
+            finished.wait(0.05)
+            finished.set()
+            return 1
+
+        def fail():
+            raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_blocks([fail, slow])
+        assert finished.is_set()
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_blocks([slow, fail])
+
+
+def _two_block_qpc(community):
+    config = SimulationConfig(warmup_days=3, measure_days=3, seed=4)
+    simulator = BatchSimulator(
+        community, RECOMMENDED_POLICY.build_ranker(), config,
+        rngs=spawn_rngs(4, 4), n_workers=2,
+    )
+    return [result.qpc_absolute for result in simulator.run()]
+
+
+def _child_run(community, queue):
+    queue.put(_two_block_qpc(community))
+
+
+class TestBlockPoolForkSafety:
+    def test_forked_child_builds_its_own_pool(self, tiny_community):
+        """A fork child inherits the pool object but none of its threads."""
+        expected = _two_block_qpc(tiny_community)  # the parent's pool is live
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_child_run, args=(tiny_community, queue))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+        assert got == expected
+        assert child.exitcode == 0

@@ -22,6 +22,8 @@ Four contracts are pinned here:
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.community.config import DEFAULT_COMMUNITY
 from repro.core import kernels
-from repro.core.kernels import get_backend, use_backend
+from repro.core.kernels import ROUTE_STATS, RankRouteStats, get_backend, use_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.serving.bench import (
     measure_telemetry_overhead,
@@ -453,6 +455,120 @@ class TestWindowedVsAggregate:
         for row in day_rows:
             total += row["seconds"]
         assert snapshot["telemetry_span_day_step_seconds"] == total
+
+
+# ------------------------------------------------ concurrent replicate blocks
+
+_ROUTE_KEYS = (
+    "rank_route_full",
+    "rank_route_run_merge",
+    "rank_route_windowed",
+    "rank_route_copy",
+    "rank_displacement_sum",
+)
+
+
+def _hammer(update, threads=4, calls=5_000):
+    """Call ``update`` from more threads than cores, switching often."""
+
+    def work():
+        for _ in range(calls):
+            update()
+
+    workers = [threading.Thread(target=work) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    return threads * calls
+
+
+class TestConcurrentBlocks:
+    """Replicate blocks on threads: telemetry observes without steering."""
+
+    @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
+    def test_recorder_keeps_two_blocks_bit_identical(self, mode):
+        community = DEFAULT_COMMUNITY.scaled(300)
+        config = SimulationConfig(
+            warmup_days=3, measure_days=5, mode=mode, snapshot_awareness=False
+        )
+        ranker = RECOMMENDED_POLICY.build_ranker()
+        baseline = run_batch(
+            community, ranker, config, rngs=spawn_rngs(3, 4), n_workers=1
+        )
+        recorder = TelemetryRecorder(window=8, buckets=1, label="sim")
+        recorder.install_kernel_spans()
+        try:
+            observed = run_batch(
+                community, ranker, config, rngs=spawn_rngs(3, 4),
+                n_workers=2, telemetry=recorder,
+            )
+        finally:
+            recorder.close()
+        assert [r.qpc_absolute for r in observed] == [
+            r.qpc_absolute for r in baseline
+        ]
+        day_rows = [row for row in recorder.rows if row["kind"] == "day"]
+        assert [row["day"] for row in day_rows] == [float(d) for d in range(8)]
+        snapshot = recorder.snapshot()
+        assert snapshot["telemetry_span_day_step_calls"] == 8.0
+        # Both blocks' kernels reach the one span table: a rank_day per
+        # block per day.
+        assert snapshot["telemetry_span_rank_day@numpy_calls"] == 16.0
+
+    @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
+    def test_two_block_route_counts_match_one_block(self, mode):
+        community = DEFAULT_COMMUNITY.scaled(300)
+        config = SimulationConfig(warmup_days=4, measure_days=4, mode=mode)
+        ranker = RECOMMENDED_POLICY.build_ranker()
+        deltas = {}
+        recorded = {}
+        for n_workers in (1, 2):
+            recorder = TelemetryRecorder(window=8, buckets=1, label="sim")
+            before = ROUTE_STATS.as_dict()
+            run_batch(
+                community, ranker, config, rngs=spawn_rngs(5, 6),
+                n_workers=n_workers, adaptive_rank=True, telemetry=recorder,
+            )
+            after = ROUTE_STATS.as_dict()
+            recorder.close()
+            deltas[n_workers] = {key: after[key] - before[key] for key in _ROUTE_KEYS}
+            snapshot = recorder.snapshot()
+            recorded[n_workers] = {
+                key: snapshot["telemetry_" + key] for key in _ROUTE_KEYS
+            }
+        assert deltas[2] == deltas[1]
+        assert recorded[2] == recorded[1] == deltas[1]
+        # Every row of every hinted day (all but the first) took one route.
+        routes = sum(deltas[1][key] for key in _ROUTE_KEYS[:4])
+        assert routes == 6 * 7
+
+    def test_route_stats_updates_are_not_lost(self):
+        stats = RankRouteStats()
+        total = _hammer(lambda: stats.record(copy=1, full=2, displacement_max=3))
+        assert stats.copy == total and stats.full == 2 * total
+        assert stats.displacement_max == 3
+
+    def test_span_table_updates_are_not_lost(self):
+        table = SpanTable()
+        total = _hammer(lambda: table.observe("rank_day@numpy", 1.0))
+        report = table.as_dict()
+        assert report["span_rank_day@numpy_calls"] == float(total)
+        assert report["span_rank_day@numpy_seconds"] == float(total)
+
+    def test_timed_proxy_forwards_thread_safety(self):
+        class SerialBackend(type(get_backend("numpy"))):
+            thread_safe = False
+
+        table = SpanTable()
+        assert TimedKernelBackend(get_backend("numpy"), table).thread_safe
+        assert not TimedKernelBackend(SerialBackend(), table).thread_safe
 
 
 # ----------------------------------------------------- cache stats (sat 2)
