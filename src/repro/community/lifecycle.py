@@ -40,7 +40,10 @@ class Lifecycle(abc.ABC):
         rngs[r])``, drawing from ``rngs[r]`` identically.  The default
         routes each row through :meth:`step` on a row view so custom
         lifecycles stay compatible; built-in processes vectorize the
-        per-page draws/comparisons across rows.
+        per-page draws/comparisons across rows.  Replicate blocks of the
+        batch engine call one lifecycle from several threads at once, each
+        with its own rows of ``pool``, so a lifecycle must keep no per-call
+        state on itself; run a stateful one with ``n_workers=1``.
         """
         replaced = []
         for row in range(pool.replicates):

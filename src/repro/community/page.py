@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.utils.parallel import row_blocks, run_blocks
+from repro.utils.parallel import run_blocks
 from repro.utils.rng import RandomSource, as_rng
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -181,7 +181,8 @@ class BatchPagePool:
     ``r``'s quality, aware-user counts, creation times and page identifiers.
     Each row has its own page-id counter so its bookkeeping is bit-identical
     to a standalone :class:`PagePool` evolved with the same random stream.
-    ``copy=False`` adopts a float ``qualities`` matrix instead of copying it.
+    The pool takes ownership of a float ``qualities`` matrix: it is not
+    copied, and page replacement writes new qualities into it.
     """
 
     def __init__(
@@ -189,8 +190,6 @@ class BatchPagePool:
         qualities: np.ndarray,
         monitored_population: int,
         created_at: float = 0.0,
-        *,
-        copy: bool = True,
     ) -> None:
         qualities = np.asarray(qualities, dtype=float)
         if qualities.ndim != 2 or qualities.size == 0:
@@ -199,7 +198,7 @@ class BatchPagePool:
             raise ValueError("all quality values must lie in [0, 1]")
         check_positive_int("monitored_population", monitored_population)
         self.monitored_population = int(monitored_population)
-        self.quality = qualities.copy() if copy else qualities
+        self.quality = qualities
         self.aware_count = np.zeros_like(self.quality)
         self.created_at = np.full_like(self.quality, float(created_at))
         self.page_ids = np.tile(np.arange(self.n, dtype=np.int64), (self.replicates, 1))
@@ -306,14 +305,13 @@ class BatchPagePool:
         """
         qualities = np.empty((len(rngs), config.n_pages), dtype=float)
 
-        def sample(lo: int, hi: int) -> None:
-            for row in range(lo, hi):
+        def sample(rows: np.ndarray) -> None:
+            for row in rows:
                 qualities[row] = config.sample_qualities(as_rng(rngs[row]))
 
-        run_blocks(
-            [partial(sample, lo, hi) for lo, hi in row_blocks(len(rngs), n_workers)]
-        )
-        return cls(qualities, config.n_monitored_users, copy=False)
+        blocks = np.array_split(np.arange(len(rngs)), n_workers)
+        run_blocks([partial(sample, rows) for rows in blocks])
+        return cls(qualities, config.n_monitored_users)
 
 
 def awareness_gain_batch(

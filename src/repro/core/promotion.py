@@ -45,6 +45,10 @@ class PromotionRule(abc.ABC):
         consuming ``rngs[r]`` exactly as the sequential call would.  The
         default loops over rows so custom rules stay compatible; the built-in
         rules override it with vectorized (or draw-preserving) versions.
+        Replicate blocks of the batch engine call one rule from several
+        threads at once, so a rule must keep no per-call state on itself
+        (the built-in ones are frozen); run a stateful one with
+        ``n_workers=1``.
         """
         return np.asarray(
             [

@@ -54,6 +54,11 @@ class Ranker(abc.ABC):
         This default implementation does precisely that, one row at a time,
         so any custom :class:`Ranker` works with the batch engine unchanged;
         the built-in rankers override it with vectorized kernels.
+
+        The batch engine calls one ranker from several threads at once, one
+        per replicate block, so a ranker must keep no per-call state on
+        itself (the built-in ones are frozen); run a stateful one with
+        ``n_workers=1``.
         """
         rows: List[np.ndarray] = [
             self.rank(context.row(row), rngs[row])

@@ -47,7 +47,7 @@ from repro.metrics.tbp import tbp_from_trajectory
 from repro.simulation.config import SimulationConfig
 from repro.simulation.result import SimulationResult
 from repro.telemetry.recorder import NULL_RECORDER
-from repro.utils.parallel import default_workers, row_blocks, run_blocks
+from repro.utils.parallel import default_workers, run_blocks
 from repro.utils.rng import RandomSource, spawn_rngs
 from repro.visits.attention import AttentionModel, PowerLawAttention
 from repro.visits.surfing import MixedSurfingModel
@@ -91,7 +91,12 @@ class BatchSimulator:
     buffer and generators are views of this one's, with its own ranking
     hint and popularity history.  :meth:`step` runs block 0 on the calling
     thread and the others on the block pool, then joins them, so one day
-    is still one ``step()``.
+    is still one ``step()``.  The blocks share the ranker, attention,
+    surfing and lifecycle objects and call them concurrently, so custom
+    ones must keep no per-call state on themselves (the built-in ones
+    are frozen or stateless); run a stateful one with ``n_workers=1``.
+    Once the rows are split, the ranking hint and history live on the
+    blocks, not on this simulator.
     """
 
     def __init__(
@@ -141,7 +146,10 @@ class BatchSimulator:
         self._blocks: List[BatchSimulator] = (
             [self]
             if blocks == 1
-            else [self._block(lo, hi) for lo, hi in row_blocks(R, blocks)]
+            else [
+                self._block(int(rows[0]), int(rows[-1]) + 1)
+                for rows in np.array_split(np.arange(R), blocks)
+            ]
         )
 
     @property

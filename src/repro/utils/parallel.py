@@ -1,10 +1,10 @@
 """Worker counts for independent work, and the thread pool for replicate blocks.
 
 :class:`~repro.simulation.batch.BatchSimulator` splits its replicate rows
-into contiguous blocks (:func:`row_blocks`) and steps them on threads
-(:func:`run_blocks`); ``run_sweep`` splits its variants across a
-``ProcessPoolExecutor``.  Both size the split with :func:`default_workers`,
-so every entry point agrees on the rule:
+into contiguous blocks and steps them on threads (:func:`run_blocks`);
+``run_sweep`` splits its variants across a ``ProcessPoolExecutor``.  Both
+size the split with :func:`default_workers`, so every entry point agrees
+on the rule:
 
 * an explicit request is honoured (clamped to the task count);
 * ``None`` auto-sizes from :func:`os.cpu_count` — capped by the
@@ -33,11 +33,8 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import wait
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, TypeVar
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -96,22 +93,6 @@ def default_workers(
     return max(1, min(cores, tasks // min_tasks_per_worker))
 
 
-def row_blocks(rows: int, blocks: int) -> List[Tuple[int, int]]:
-    """``[lo, hi)`` bounds of ``blocks`` contiguous, near-equal row blocks.
-
-    The first ``rows % blocks`` blocks get one extra row, as in
-    ``np.array_split``.
-    """
-    size, extra = divmod(rows, blocks)
-    bounds = []
-    lo = 0
-    for block in range(blocks):
-        hi = lo + size + (block < extra)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_threads = 0
 _pool_lock = threading.Lock()
@@ -122,17 +103,14 @@ def _drop_pool_after_fork() -> None:
     _pool, _pool_threads, _pool_lock = None, 0, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_drop_pool_after_fork)
+# Where fork does not exist there is no inherited pool to drop.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool_after_fork)
 
 
 def _block_pool(threads: int) -> ThreadPoolExecutor:
     """The process's block pool, replaced by a larger one when it is too small."""
     global _pool, _pool_threads
-    # Imported on first use: importing the thread executor with the package
-    # raised the peak RSS of runs that never step blocks (the serving
-    # benchmark) by about 1.5 MB.
-    from concurrent.futures import ThreadPoolExecutor
-
     with _pool_lock:
         if _pool is None or _pool_threads < threads:
             # A replaced pool's idle threads exit once no caller holds it.
@@ -161,7 +139,6 @@ def run_blocks(tasks: Sequence[Callable[[], T]]) -> List[T]:
 
 __all__ = [
     "default_workers",
-    "row_blocks",
     "run_blocks",
     "MIN_TASKS_PER_WORKER",
     "MAX_WORKERS_ENV_VAR",

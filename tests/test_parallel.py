@@ -1,17 +1,20 @@
 """Tests for worker-count resolution, the block pool and their wiring into run_batch."""
 
 import multiprocessing
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import repro
 from repro.core.policy import RECOMMENDED_POLICY
 from repro.simulation import BatchSimulator, SimulationConfig, run_batch
 from repro.utils.parallel import (
     MIN_TASKS_PER_WORKER,
     default_workers,
-    row_blocks,
     run_blocks,
 )
 from repro.utils.rng import spawn_rngs
@@ -99,19 +102,6 @@ class TestRunBatchAutoWorkers:
         ]
 
 
-class TestRowBlocks:
-    @pytest.mark.parametrize("rows,blocks", [(7, 1), (7, 2), (7, 3), (32, 2), (5, 5)])
-    def test_contiguous_cover_like_array_split(self, rows, blocks):
-        bounds = row_blocks(rows, blocks)
-        assert len(bounds) == blocks
-        assert bounds[0][0] == 0 and bounds[-1][1] == rows
-        for (_, hi), (lo, _) in zip(bounds[:-1], bounds[1:], strict=True):
-            assert hi == lo
-        sizes = [hi - lo for lo, hi in bounds]
-        assert sizes == sorted(sizes, reverse=True)
-        assert max(sizes) - min(sizes) <= 1
-
-
 class TestRunBlocks:
     def test_results_in_task_order_first_task_on_caller(self):
         caller = threading.get_ident()
@@ -168,3 +158,16 @@ class TestBlockPoolForkSafety:
                 child.kill()
         assert got == expected
         assert child.exitcode == 0
+
+    def test_imports_where_fork_is_missing(self):
+        """Platforms without fork have no ``os.register_at_fork``."""
+        result = subprocess.run(
+            [sys.executable, "-c", "import os; del os.register_at_fork; import repro"],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+                "PATH": "/usr/bin:/bin",
+            },
+        )
+        assert result.returncode == 0, result.stderr
