@@ -15,8 +15,9 @@ maintenance — decomposes into six array kernels:
 ``promotion_merge``
     The batched randomized promotion merge over full rankings.
 ``lane_repair``
-    Grouped merge-repair of maintained serving orders — the sweep's stale
-    lanes repaired as one batched call instead of lane by lane.
+    Grouped merge-repair of maintained serving orders.  No program path
+    calls it since the serving engine and the sweep repair lazily; it is
+    kept because the end-to-end benchmark lists its per-layer spans.
 ``feedback_flush``
     The fluid-mode sparse feedback update over flat (possibly stacked)
     awareness/popularity state.
@@ -164,16 +165,16 @@ def merge_repair(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact O(n + d log d) merge repair of one maintained descending order.
 
-    The single-lane reference shared by ``ServingEngine._repair_order`` and
-    the grouped :meth:`NumpyKernelBackend.lane_repair` kernel — one
-    implementation, so lane-by-lane and grouped repairs cannot drift.  The
-    ``dirty`` pages are extracted, sorted by descending popularity (stable
-    over their ascending page index), and merged back *after* their
-    equal-popularity keeps (``side="right"``), which is where a re-sorted
-    tie group would place them.
+    The single-lane reference shared by ``ServingEngine._compact`` and the
+    grouped :meth:`NumpyKernelBackend.lane_repair` kernel.  The ``dirty``
+    pages are extracted, sorted by descending popularity (stable over the
+    order of ``dirty``), and merged back *after* their equal-popularity
+    keeps (``side="right"``), which is where a re-sorted tie group would
+    place them.
 
-    Returns ``(merged_order, scratch)``; ``scratch`` is the reusable
-    all-``False`` boolean mask, handed back so hot callers can keep it.
+    Returns ``(merged_order, scratch)``.  ``scratch`` is a reusable boolean
+    mask that is ``False`` outside ``dirty`` on entry and all ``False`` on
+    return, handed back so hot callers can keep it.
     """
     n = order.size
     if scratch is None or scratch.size != n:
@@ -309,13 +310,17 @@ class KernelBackend(abc.ABC):
         """Grouped merge-repair of maintained descending orders.
 
         One batched call repairs every lane of one community size: lane
-        ``i``'s repaired order must be bit-identical to the sequential
-        O(n + d log d) repair of ``ServingEngine._repair_order`` — extract
-        the ``dirty[i]`` pages, sort them by ``-popularity[i]`` (stable
-        over ascending page index), and merge them back after their equal-
-        popularity keeps.  Callers guarantee ``0 < dirty[i].size < n // 2``
-        (larger dirty sets take the full re-sort path through
-        :meth:`rank_day`) and equal ``n`` across the call.
+        ``i``'s repaired order must be bit-identical to
+        :func:`merge_repair` of that lane — extract the ``dirty[i]`` pages,
+        sort them by ``-popularity[i]`` (stable over the order of
+        ``dirty[i]``), and merge them back after their equal-popularity
+        keeps.  Callers guarantee ``0 < dirty[i].size < n // 2`` and equal
+        ``n`` across the call.
+
+        No program path calls it: the serving engine and the sweep repair
+        lazily through ``ServingEngine._absorb``.  It is kept because the
+        end-to-end benchmark's per-layer list names its spans, which the
+        tracer builds from :data:`VALID_KERNELS`.
         """
 
     @abc.abstractmethod

@@ -28,7 +28,6 @@ from repro.community.page import awareness_gain_batch
 from repro.core.kernels.api import (
     ROUTE_STATS,
     KernelBackend,
-    RankRouteStats,  # noqa: F401  (back-compat re-export; moved to api)
     check_tie_breaker,
     draw_tie_keys,
     merge_repair,
@@ -819,6 +818,5 @@ __all__ = [
     "NumpyKernelBackend",
     "BACKEND",
     "merge_repair",
-    "RankRouteStats",
     "ROUTE_STATS",
 ]

@@ -185,10 +185,7 @@ class ShardSupervisor:
         self._pre_crash_version = engine.state.version
         self.crashed = True
         engine.state = None
-        engine._order = None
-        engine._order_version = -1
-        engine._dirty_scratch = None
-        engine._promoted_mask = None
+        engine.drop_order()
         if engine.cache is not None:
             engine.cache.invalidate()
 
@@ -207,10 +204,7 @@ class ShardSupervisor:
         days = self.journal.replay(state)
         engine.state = state
         engine.day = self.checkpoint.day + days
-        engine._order = None
-        engine._order_version = -1
-        engine._dirty_scratch = None
-        engine._promoted_mask = None
+        engine.drop_order()
         recovered = state_digest(state, engine.day)
         self.last_recovery_digest = recovered
         if self._pre_crash_digest is not None and recovered != self._pre_crash_digest:

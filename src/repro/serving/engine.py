@@ -5,21 +5,24 @@ ranking per simulated day — O(n log n) work per step over the whole
 community.  The :class:`ServingEngine` answers individual ``top_k`` queries
 instead:
 
-* the deterministic popularity order is *maintained*, not recomputed: after
-  a feedback batch touches ``d`` pages, the order is repaired by extracting
-  the ``d`` moved pages and merging them back into the still-sorted
-  remainder (O(n + d log d) vectorized, versus O(n log n) for a re-sort,
-  and only when the state actually changed);
+* the deterministic popularity order is *maintained*, not recomputed, and
+  repaired *lazily*: the engine keeps the order of its last full sort or
+  compaction (the *base*) plus a *side list* of the pages dirtied since.
+  A feedback batch that touches ``d`` pages costs O(S + d) for a side list
+  of ``S`` pages, and a query reads the first ``k`` pages of a two-way
+  merge of the base walk and the sorted side list.  One O(n) merge repair
+  folds the side list into the base once it passes ``n // 64`` pages, and
+  a full re-sort still takes over when half the community moved;
 * randomized rank promotion is applied only to the *served prefix*: the
   merge coin of :func:`~repro.core.merge.merge_positions` is flipped for the
   ``k`` visible slots alone, and the promoted entries are drawn directly
   from the promotion pool — equivalent in distribution to shuffling the
   whole pool and merging all ``n`` positions, but O(k + s) instead of O(n).
 
-A query therefore costs O(k + promoted) plus the amortized repair, which is
-what lets one engine serve a heavy query stream over a 200k-page community.
-The exact full-ranking path of the simulator remains available as
-:meth:`rank_all` and is what the parity replay adapter uses.
+A query therefore costs O(k + S + promoted) plus the amortized compaction,
+which is what lets one engine serve a heavy query stream over a 200k-page
+community.  The exact full-ranking path of the simulator remains available
+as :meth:`rank_all` and is what the parity replay adapter uses.
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ from repro.telemetry.recorder import NULL_RECORDER
 from repro.utils.rng import RandomSource, as_rng
 from repro.visits.attention import AttentionModel, PowerLawAttention
 from repro.visits.surfing import MixedSurfingModel
+
+#: The side list is compacted into the base order once it holds more than
+#: ``n // SIDE_LIST_DIVISOR`` pages.
+SIDE_LIST_DIVISOR = 64
+
+_NO_PAGES = np.zeros(0, dtype=np.int64)
 
 
 class ServingEngine:
@@ -102,9 +111,17 @@ class ServingEngine:
         # pages of traffic forever, while per-call re-randomization (what
         # the exact ranker does) cannot be maintained incrementally.  Pages
         # moved by a repair re-enter at the back of their new tie group.
+        #
+        # ``_order`` is the base: the order of the last full sort or
+        # compaction.  ``_side`` lists the pages dirtied since, in (repair
+        # epoch, page index) order — each repair drops the entries it dirties
+        # again and appends its own pages ascending, so an entry's position
+        # carries the epoch that last dirtied it.  ``_in_side`` marks them
+        # (and is compaction's all-False scratch once they are folded in).
         self._order: Optional[np.ndarray] = None
         self._order_version = -1
-        self._dirty_scratch: Optional[np.ndarray] = None  # reusable repair mask
+        self._side = _NO_PAGES
+        self._in_side: Optional[np.ndarray] = None
         # The selective rule's pool (zero-awareness pages) is maintained
         # incrementally; other rules compute their pool per query.
         self._selective = policy.rule == "selective" and not policy.is_deterministic
@@ -146,9 +163,9 @@ class ServingEngine:
         generator = as_rng(rng) if rng is not None else self.rng
         self._refresh_order()
         if self.policy.is_deterministic:
-            return self._order[:k].copy()
+            return self._unpromoted_prefix(k)
         mask = self._promotion_pool_mask(generator)
-        pool_count = int(mask.sum())
+        pool_count = np.count_nonzero(mask)
         return self._merge_prefix(k, mask, pool_count, generator)
 
     def apply_feedback(
@@ -179,6 +196,18 @@ class ServingEngine:
         context = RankingContext.from_pool(self.state.pool, now=float(self.day))
         return self.ranker.rank(context, rng if rng is not None else self.rng)
 
+    def drop_order(self) -> None:
+        """Forget the maintained order; the next query sorts from scratch.
+
+        For a shard that lost or replaced its state (crash recovery): the
+        base, the side list and the selective pool go with it.
+        """
+        self._order = None
+        self._order_version = -1
+        self._side = _NO_PAGES
+        self._in_side = None
+        self._promoted_mask = None
+
     # --------------------------------------------------- order maintenance
 
     def _refresh_order(self) -> None:
@@ -192,52 +221,89 @@ class ServingEngine:
             return
         if self._order_version == state.version:
             return
-        dirty = state.consume_dirty()
-        self._repair_order(dirty)
+        if self._absorb(state.consume_dirty()):
+            self._sort_order()
         self._order_version = state.version
 
     def _sort_order(self) -> None:
         """Fully re-sort the maintained order through the ``rank_day`` kernel.
 
         One ``random(n)`` tie-key draw from the engine's generator, as the
-        exact ranker draws.  With ``adaptive_rank`` the current order is the
+        exact ranker draws.  With ``adaptive_rank`` the base order is the
         kernel router's near-sorted hint (copy / run-merge / windowed /
         full); the result is bit-identical either way.
         """
         hint = None
         if self.adaptive_rank and self._order is not None:
             hint = self._order[None, :]
-        self._order = batched_deterministic_order(
-            self.state.popularity[None, :], None, "random", [self.rng],
-            prev_perm=hint,
-        )[0]
+        self._install_order(
+            batched_deterministic_order(
+                self.state.popularity[None, :], None, "random", [self.rng],
+                prev_perm=hint,
+            )[0]
+        )
+
+    def _install_order(self, order: np.ndarray) -> None:
+        """Adopt a full sort as the base and empty the side list."""
+        self._order = order
+        if self._in_side is None:
+            self._in_side = np.zeros(order.size, dtype=bool)
+        elif self._side.size:
+            self._in_side[self._side] = False
+            self._side = _NO_PAGES
         self.full_sorts += 1
         if self.telemetry.enabled:
             self.telemetry.record_full_sort()
 
-    def _repair_order(self, dirty: np.ndarray) -> None:
+    def _absorb(self, dirty: np.ndarray) -> bool:
+        """Take one refresh's dirty pages; True when they need a full re-sort.
+
+        ``dirty`` holds distinct ascending page indices, as
+        ``consume_dirty`` returns them.  Refreshes the selective pool for
+        ``dirty``.  Half the community or more calls for a re-sort, left to
+        the caller (the sweep batches it across lanes).  Fewer pages are
+        repaired lazily in O(S + d): they join the side list as the newest
+        epoch, and no O(n) pass runs until the list passes
+        ``n // SIDE_LIST_DIVISOR`` pages and is compacted.
+        """
         state = self.state
-        n = state.n
-        pop = state.popularity
-        if self._selective and dirty.size:
+        if dirty.size == 0:
+            return False
+        if self._selective:
             self._promoted_mask[dirty] = (
                 state.pool.aware_count[dirty] < 1.0 - 1e-9
             )
-        if dirty.size == 0:
-            return
+        n = state.n
         if dirty.size >= n // 2:
-            # Most of the community moved; a fresh sort is cheaper than a
-            # merge.
-            self._sort_order()
-            return
-        # The exact O(n + d log d) merge repair is shared with the grouped
-        # lane_repair kernel (one implementation for both paths).
-        self._order, self._dirty_scratch = merge_repair(
-            self._order, pop, dirty, self._dirty_scratch
-        )
+            return True
+        in_side = self._in_side
+        side = self._side
+        if side.size:
+            in_side[dirty] = False
+            side = side[in_side[side]]  # drop the entries dirtied again
+        in_side[dirty] = True
+        self._side = np.concatenate((side, dirty))
+        if self._side.size > n // SIDE_LIST_DIVISOR:
+            self._compact()
         self.repairs += 1
         if self.telemetry.enabled:
             self.telemetry.record_repair()
+        return False
+
+    def _compact(self) -> None:
+        """Fold the side list into the base with one ``merge_repair``.
+
+        ``merge_repair`` sorts the moved pages stably over the order it is
+        given, and the side list is in (epoch, index) order, so the new base
+        is exactly the order successive eager repairs would have built.  The
+        membership mask serves as its scratch and comes back all False.
+        """
+        if not self._side.size:
+            return
+        self._order, self._in_side = merge_repair(
+            self._order, self.state.popularity, self._side, self._in_side
+        )
+        self._side = _NO_PAGES
 
     # ------------------------------------------------------ prefix serving
 
@@ -301,15 +367,43 @@ class ServingEngine:
         page[~slots] = deterministic
         return page
 
-    def _unpromoted_prefix(self, need: int, mask: np.ndarray) -> np.ndarray:
-        """First ``need`` pages of the maintained order not in the pool."""
+    def _unpromoted_prefix(
+        self, need: int, mask: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """First ``need`` pages of the maintained order not in the pool.
+
+        ``mask`` marks the promotion pool (``None``: no pool).  The base
+        walk and the side list are concatenated in that order and sorted
+        stably by descending popularity: among equal popularity, base pages
+        come first in base order, then side pages in (epoch, index) order.
+        That is the order successive ``merge_repair`` calls would have
+        built, read without building it.
+        """
         if need <= 0:
-            return np.zeros(0, dtype=int)
-        n = self.state.n
+            return _NO_PAGES
+        side = self._side
+        if mask is not None and side.size:
+            side = side[~mask[side]]
+        base = self._base_prefix(need, mask)
+        if not side.size:
+            return base
+        candidates = np.concatenate((base, side))
+        ranked = np.argsort(-self.state.popularity[candidates], kind="stable")
+        return candidates[ranked[:need]]
+
+    def _base_prefix(self, need: int, mask: Optional[np.ndarray]) -> np.ndarray:
+        """First ``need`` base pages outside the side list and the pool."""
+        order = self._order
+        if mask is None and not self._side.size:
+            return order[:need].copy()
+        n = order.size
         parts, got, start, chunk = [], 0, 0, max(4 * need, 64)
         while got < need and start < n:
-            segment = self._order[start : start + chunk]
-            segment = segment[~mask[segment]]
+            segment = order[start : start + chunk]
+            skip = self._in_side[segment]
+            if mask is not None:
+                skip |= mask[segment]
+            segment = segment[~skip]
             if not parts and segment.size >= need:
                 return segment[:need]  # common case: one chunk suffices
             parts.append(segment)

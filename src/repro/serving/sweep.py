@@ -877,7 +877,7 @@ class ServingSweep:
         for (replay, lane_index), engine in zip(stale, engines, strict=True):
             if replay.deterministic:
                 k = replay.lanes[lane_index].k
-                replay.store_page(lane_index, engine._order[:k].copy())
+                replay.store_page(lane_index, engine._unpromoted_prefix(k))
             else:
                 randomized.append((replay, lane_index))
         if randomized:
@@ -886,32 +886,20 @@ class ServingSweep:
     def _refresh_stale(self, engines: List[ServingEngine]) -> None:
         """Grouped equivalent of per-lane ``_refresh_order`` for dirty lanes.
 
-        Each lane's dirty set is consumed and classified exactly as
-        ``ServingEngine._repair_order`` classifies it — selective-pool mask
-        refresh, empty-set no-op, full re-sort when at least half the
-        community moved, merge repair otherwise — but the expensive cases
-        then run **batched**: full re-sorts of equal-size lanes share one
+        Each lane's dirty set goes through the engine's own ``_absorb`` —
+        the step ``_refresh_order`` takes — so the selective-pool refresh,
+        the lazy side-list repair and its compaction are the standalone
+        code.  Only the lanes whose dirty set crosses n/2 re-sort, and
+        those of equal size share one
         :func:`~repro.core.batch_rank.batched_deterministic_order` call
         (per-lane tie keys drawn from each lane's own generator, exactly
-        the draws the standalone path makes), and the merge repairs of
-        equal-size lanes run as one grouped ``lane_repair`` kernel call
-        instead of lane-by-lane ``_repair_order`` — the ROADMAP's batched
-        lane repair, previously ~20% of remaining sweep time.
+        the draws the standalone path makes).
         """
         resorts: Dict[int, List[ServingEngine]] = {}
-        repairs: Dict[int, List[Tuple[ServingEngine, np.ndarray]]] = {}
         for engine in engines:
             state = engine.state
-            dirty = state.consume_dirty()
-            if engine._selective and dirty.size:
-                engine._promoted_mask[dirty] = (
-                    state.pool.aware_count[dirty] < 1.0 - 1e-9
-                )
-            if dirty.size:
-                if dirty.size >= state.n // 2:
-                    resorts.setdefault(state.n, []).append(engine)
-                else:
-                    repairs.setdefault(state.n, []).append((engine, dirty))
+            if engine._absorb(state.consume_dirty()):
+                resorts.setdefault(state.n, []).append(engine)
             engine._order_version = state.version
         for group in resorts.values():
             popularity = np.stack([engine.state.popularity for engine in group])
@@ -920,27 +908,16 @@ class ServingSweep:
                 None,
                 "random",
                 [engine.rng for engine in group],
-                # Every resorting lane maintains an order already (fresh
-                # lanes go through _bootstrap); yesterday's orders are the
-                # adaptive hint.  These lanes crossed the half-dirty
-                # threshold, so the kernel usually falls back to the full
-                # sort — the hint costs one run-detection pass and wins
-                # whenever the feedback left the order near-sorted anyway.
+                # Every resorting lane maintains a base order already (fresh
+                # lanes go through _bootstrap); it is the adaptive hint.
+                # These lanes crossed the half-dirty threshold, so the
+                # kernel usually falls back to the full sort — the hint
+                # costs one run-detection pass and wins whenever the
+                # feedback left the order near-sorted anyway.
                 prev_perm=np.stack([engine._order for engine in group]),
             )
             for row, engine in enumerate(group):
-                engine._order = orders[row].copy()
-                engine.full_sorts += 1
-        backend = get_backend()
-        for _n, entries in repairs.items():
-            repaired = backend.lane_repair(
-                [engine._order for engine, _ in entries],
-                [engine.state.popularity for engine, _ in entries],
-                [dirty for _, dirty in entries],
-            )
-            for (engine, _), order in zip(entries, repaired, strict=True):
-                engine._order = order
-                engine.repairs += 1
+                engine._install_order(orders[row].copy())
 
     def _bootstrap(self, engines: List[ServingEngine]) -> None:
         """Batch-build the maintained orders of first-served lanes.
@@ -965,14 +942,13 @@ class ServingSweep:
                 [engine.rng for engine in group],
             )
             for row, engine in enumerate(group):
-                engine._order = orders[row].copy()
+                engine._install_order(orders[row].copy())
                 if engine._selective:
                     engine._promoted_mask = (
                         engine.state.pool.aware_count < 1.0 - 1e-9
                     )
                 engine.state.consume_dirty()
                 engine._order_version = engine.state.version
-                engine.full_sorts += 1
 
     def _serve_randomized(
         self, lanes: List[Tuple[_VariantReplay, int]]
@@ -995,7 +971,7 @@ class ServingSweep:
             engine = lane.engine
             mask = np.asarray(engine._promotion_pool_mask(engine.rng), dtype=bool)
             masks.append(mask)
-            pool = int(mask.sum())
+            pool = np.count_nonzero(mask)
             n_promoted[row] = pool
             n_deterministic[row] = engine.state.n - pool
             protected = min(replay.variant.promote_k - 1, lane.k)

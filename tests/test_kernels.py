@@ -12,8 +12,9 @@ Three concerns live here:
   oracle, the grouped lane repair against the single-lane core, the
   one-sort-per-row tie repair and each of its fallbacks against
   ``lexsort`` and ``_deterministic_order``), plus a
-  structural guarantee that the sweep's hot path actually routes repairs
-  through one grouped ``lane_repair`` call rather than lane by lane;
+  structural guarantee that the sweep's hot path repairs each lane
+  through the serving engine's own lazy absorb step and never calls
+  ``lane_repair``;
 * **cross-backend bit parity** — when numba is installed, a Hypothesis
   property asserts that the numpy and numba backends produce bit-identical
   ``(R, n)`` day steps (fluid and stochastic) and bit-identical sweep rows
@@ -35,9 +36,16 @@ from repro.core.kernels.numpy_backend import BACKEND as NUMPY_BACKEND
 from repro.core.kernels.numpy_backend import merge_repair
 from repro.core.policy import RankPromotionPolicy
 from repro.serving.state import PopularityState
-from repro.serving.sweep import ServingSweep, SweepVariant
+from repro.serving.engine import ServingEngine
+from repro.serving.sweep import (
+    ServingSweep,
+    SweepVariant,
+    build_variant_router,
+    variant_seed,
+)
 from repro.simulation import BatchSimulator, SimulationConfig
 from repro.simulation.batch import run_batch
+from repro.simulation.replay import replay_trace
 from repro.utils.rng import spawn_rngs
 from repro.visits.attention import PowerLawAttention
 from repro.visits.surfing import MixedSurfingModel
@@ -270,37 +278,53 @@ class TestNumpyKernelSemantics:
             expected, _ = merge_repair(orders[lane], pops[lane], dirties[lane])
             np.testing.assert_array_equal(repaired[lane], expected)
 
-    def test_sweep_routes_repairs_through_grouped_lane_repair(
+    def test_sweep_repairs_go_through_the_engine_absorb_step(
         self, kernel_community, monkeypatch
     ):
-        """The sweep hot path must issue grouped calls, not per-lane loops."""
+        """Sweep lanes repair through ``ServingEngine._absorb``, not lane_repair.
+
+        Every repair the sweep counts is one absorb call that repaired a
+        dirty set lazily, and the sweep counts as many repairs as the
+        variants' standalone replays do.
+        """
         from test_sweep import make_trace
 
-        calls = []
-        original = type(NUMPY_BACKEND).lane_repair
+        lazy = []
+        absorb = ServingEngine._absorb
 
-        def spy(self, orders, popularity, dirty):
-            calls.append(len(orders))
-            return original(self, orders, popularity, dirty)
+        def absorb_spy(engine, dirty):
+            resort = absorb(engine, dirty)
+            if dirty.size and not resort:
+                lazy.append(dirty.size)
+            return resort
 
-        monkeypatch.setattr(type(NUMPY_BACKEND), "lane_repair", spy)
+        def lane_repair_spy(self, orders, popularity, dirty):
+            raise AssertionError("the sweep called lane_repair")
+
+        monkeypatch.setattr(ServingEngine, "_absorb", absorb_spy)
+        monkeypatch.setattr(type(NUMPY_BACKEND), "lane_repair", lane_repair_spy)
         variants = [
             SweepVariant(k=8, r=0.1, cache_capacity=16, staleness_budget=0),
             SweepVariant(k=8, r=0.2, cache_capacity=16, staleness_budget=0),
             SweepVariant(k=8, r=0.3, cache_capacity=16, staleness_budget=0),
             SweepVariant(k=8, r=0.0, cache_capacity=16, staleness_budget=0),
         ]
+        trace = make_trace(n_queries=200, flush_every=8)
         sweep = ServingSweep(kernel_community, variants, seed=3)
-        sweep.run(make_trace(n_queries=200, flush_every=8))
+        sweep.run(trace)
         repairs = sum(
-            lane.engine.repairs
-            for replay in sweep._replays
-            for lane in replay.lanes
+            engine.repairs for router in sweep.routers for engine in router.engines
         )
-        assert repairs > 0, "workload produced no repairs to group"
-        assert calls, "repairs bypassed the grouped lane_repair kernel"
-        assert max(calls) > 1, "lane_repair was never actually grouped"
-        assert sum(calls) == repairs, "some repairs ran outside the kernel"
+        assert repairs > 0, "workload produced no repairs"
+        assert len(lazy) == repairs, "some repairs bypassed the absorb step"
+        standalone = 0
+        for index, variant in enumerate(variants):
+            router = build_variant_router(
+                kernel_community, variant, variant_seed(3, index)
+            )
+            replay_trace(router, trace, variant.k)
+            standalone += sum(engine.repairs for engine in router.engines)
+        assert repairs == standalone
 
 
 # --------------------------------------------------- adaptive rank_day

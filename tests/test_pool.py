@@ -206,6 +206,8 @@ class TestServingPool:
             plain_page = plain_engine.top_k(10)
             assert adaptive_engine.full_sorts == full_sorts + 1
             assert np.array_equal(adaptive_page, plain_page)
+            adaptive_engine._compact()
+            plain_engine._compact()
             assert np.array_equal(
                 adaptive_engine._order, plain_engine._order
             )

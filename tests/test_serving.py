@@ -7,10 +7,18 @@ and stochastic modes.  The rest covers the incremental state, the
 version-stamped cache, the sharded router and the workload generator.
 """
 
+import copy
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.serving.engine as engine_module
 from repro.community import CommunityConfig, PagePool
+from repro.core.batch_rank import batched_deterministic_order
+from repro.core.kernels import merge_repair
 from repro.core.policy import (
     DETERMINISTIC_POLICY,
     RECOMMENDED_POLICY,
@@ -152,10 +160,156 @@ def test_incremental_repair_matches_full_resort(serving_community):
         engine.apply_feedback(idx, rng.integers(1, 5, size=6).astype(float))
         engine.top_k(5)  # triggers the repair
         pop = engine.state.popularity
-        served = pop[engine._order]
+        served = pop[_full_order(engine)]
         assert np.all(np.diff(served) <= 1e-15), "order not descending, round %d" % round_
     assert engine.repairs >= 10
     assert engine.full_sorts == 1  # only the initial sort was a full one
+
+
+# ------------------------------------------------------ lazy order repair
+
+_LAZY_COMMUNITY = CommunityConfig(
+    n_pages=96,
+    n_users=40,
+    monitored_fraction=0.25,
+    visits_per_user_per_day=1.0,
+    expected_lifetime_days=40.0,
+)
+
+
+def _full_order(engine):
+    """The maintained order with its side list compacted into the base."""
+    engine._compact()
+    return engine._order
+
+
+def _lazy_engine(levels, seed=0):
+    """Selective engine with unit quality: popularity is awareness / m.
+
+    Awareness levels are small integers, so popularity ties are common and
+    level 0 puts a page in the selective pool.
+    """
+    engine = ServingEngine(_LAZY_COMMUNITY, RECOMMENDED_POLICY, seed=seed)
+    engine.state.pool.quality[:] = 1.0
+    engine.state.set_awareness(levels)
+    engine._refresh_order()
+    return engine
+
+
+def _set_levels(engine, pages, levels):
+    """One feedback batch: ``pages`` move to awareness ``levels``."""
+    engine.state.pool.aware_count[pages] = levels
+    engine.state.note_replaced(pages)
+
+
+def _assert_prefixes_match(engine, eager):
+    """Prefixes with and without the pool, and the compacted full order.
+
+    The full order is compacted on a copy, so the engine's side list keeps
+    growing across steps.
+    """
+    np.testing.assert_array_equal(_full_order(copy.deepcopy(engine)), eager)
+    mask = engine._promoted_mask
+    np.testing.assert_array_equal(
+        mask, engine.state.pool.aware_count < 1.0 - 1e-9
+    )
+    np.testing.assert_array_equal(
+        np.flatnonzero(engine._in_side), np.sort(engine._side)
+    )
+    unpromoted = eager[~mask[eager]]
+    for need in (1, 3, 20, 50, eager.size):
+        np.testing.assert_array_equal(engine._unpromoted_prefix(need), eager[:need])
+        np.testing.assert_array_equal(
+            engine._unpromoted_prefix(need, mask), unpromoted[:need]
+        )
+
+
+_N_LAZY = _LAZY_COMMUNITY.n_pages
+_BATCH = st.lists(
+    st.tuples(st.integers(0, _N_LAZY - 1), st.integers(0, 3)),
+    min_size=1,
+    max_size=10,
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("feedback"), _BATCH),
+        st.tuples(st.just("compact"), _BATCH),
+        st.tuples(st.just("resort"), st.integers(0, 2**16)),
+        st.tuples(st.just("drop"), _BATCH),
+    ),
+    max_size=25,
+)
+
+
+@given(seed=st.integers(0, 2**16), divisor=st.sampled_from([1, 8, 64]), steps=_STEPS)
+@settings(max_examples=60, deadline=None)
+def test_lazy_repair_matches_eager_merge_repair(seed, divisor, steps):
+    """The lazy engine reads the order successive ``merge_repair`` calls build.
+
+    The eager reference starts from the engine's first sort and applies one
+    ``merge_repair`` per refresh, or the engine's own full sort (same tie
+    draws) when half the pages moved or the order was dropped.  Steps:
+    feedback batches on quantised popularity (pages re-dirtied across
+    repairs), a batch of n/2 or more pages, a repair that is forced to
+    compact, and an order drop as crash recovery does it.  ``divisor`` 1
+    never compacts on its own; 8 and 64 compact past 12 and 1 side pages.
+    """
+    n = _N_LAZY
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(engine_module, "SIDE_LIST_DIVISOR", divisor):
+        engine = _lazy_engine(rng.integers(0, 4, size=n).astype(float), seed)
+        eager = engine._order.copy()
+        for kind, arg in steps:
+            if kind == "resort":
+                moved = np.random.default_rng(arg)
+                pages = moved.choice(n, size=n // 2 + arg % 8, replace=False)
+                _set_levels(engine, pages, moved.integers(0, 4, pages.size))
+            else:
+                pages = np.array([page for page, _ in arg])
+                _set_levels(engine, pages, np.array([level for _, level in arg]))
+            if kind == "drop":
+                engine.drop_order()
+            dirty = np.flatnonzero(engine.state._dirty_mask)
+            tie_rng = copy.deepcopy(engine.rng)
+            repairs = engine.repairs
+            if kind == "compact":
+                with mock.patch.object(engine_module, "SIDE_LIST_DIVISOR", n + 1):
+                    engine._refresh_order()
+                assert engine._side.size == 0
+            else:
+                engine._refresh_order()
+            pop = engine.state.popularity
+            if kind == "drop" or dirty.size >= n // 2:
+                eager = batched_deterministic_order(
+                    pop[None, :], None, "random", [tie_rng]
+                )[0]
+                assert engine._side.size == 0
+            else:
+                eager, _ = merge_repair(eager, pop, dirty)
+                assert engine.repairs == repairs + 1
+            assert engine.rng.bit_generator.state == tie_rng.bit_generator.state
+            assert engine._side.size <= n // divisor
+            _assert_prefixes_match(engine, eager)
+
+
+def test_lazy_repair_orders_equal_popularity_by_repair_epoch():
+    """A tie reached in a later repair ranks after the earlier page.
+
+    Page 50 reaches popularity 0.2 first and page 10 later: eager repairs
+    put 50 first, so the side list must not fall back to index order.
+    """
+    n = _N_LAZY
+    with mock.patch.object(engine_module, "SIDE_LIST_DIVISOR", 1):
+        engine = _lazy_engine(np.zeros(n))
+        eager = engine._order.copy()
+        for page in (50, 10):
+            _set_levels(engine, np.array([page]), np.array([2.0]))
+            engine._refresh_order()
+            eager, _ = merge_repair(eager, engine.state.popularity, np.array([page]))
+        assert engine._side.tolist() == [50, 10]
+        np.testing.assert_array_equal(eager[:2], [50, 10])
+        np.testing.assert_array_equal(engine._unpromoted_prefix(2), [50, 10])
+        np.testing.assert_array_equal(_full_order(engine), eager)
 
 
 def test_selective_promotion_pool_tracked(serving_community):
