@@ -304,7 +304,7 @@ def run_chaos_benchmark(
     )
     parity = 1.0
     for shard, expected in clean_digests.items():
-        recovered = router.supervisors[shard].last_recovery_digest
+        recovered = router.robustness.supervisors[shard].last_recovery_digest
         if recovered is None or recovered != expected:
             parity = 0.0
     report["clean_parity"] = parity

@@ -228,7 +228,7 @@ class FaultInjector:
             self.crashes += 1
             self._begin_downtime(shard, event, query_index)
             self._needs_recovery[shard] = True
-            supervisors = self._router.supervisors
+            supervisors = self._router.robustness.supervisors
             if supervisors is not None:
                 supervisors[shard].crash(at_query=query_index)
         elif event.kind == "conflict":

@@ -50,6 +50,10 @@ from repro.visits.surfing import MixedSurfingModel
 #: ``n // SIDE_LIST_DIVISOR`` pages.
 SIDE_LIST_DIVISOR = 64
 
+#: An engine's memo of cache keys by ``k`` is cleared once it holds this
+#: many keys.
+PAGE_KEY_MEMO_LIMIT = 1 << 10
+
 _NO_PAGES = np.zeros(0, dtype=np.int64)
 
 
@@ -105,6 +109,8 @@ class ServingEngine:
         self.telemetry = NULL_RECORDER
         self.faults = NULL_INJECTOR
         self._policy_tag = policy.describe()
+        # Cache key per int(k): name, policy and page count never change.
+        self._page_keys: dict = {}
         # Maintained descending-popularity order.  Ties are broken by
         # random per-page keys drawn at each full sort: a fixed index order
         # would pin the huge zero-popularity tie group and starve most cold
@@ -136,6 +142,8 @@ class ServingEngine:
         state version (OCC read pattern); without one this is ``top_k``.
         Cached pages repeat the same randomized promotions until they go
         stale — bounded-staleness exploration is the price of the hit rate.
+        The cache key is memoized per ``int(k)``, so ``20``, ``20.0`` and
+        ``np.int64(20)`` share one entry.
         """
         if k < 1:
             # Same validation as top_k, applied before the cache key is
@@ -146,7 +154,14 @@ class ServingEngine:
             self.faults.before_engine_serve(self)
         if self.cache is None:
             return self.top_k(k, rng)
-        key = page_key(self.name, min(int(k), self.state.n), self._policy_tag)
+        keys = self._page_keys
+        key = keys.get(int(k))
+        if key is None:
+            if len(keys) >= PAGE_KEY_MEMO_LIMIT:
+                keys.clear()
+            key = keys[int(k)] = page_key(
+                self.name, min(int(k), self.state.n), self._policy_tag
+            )
         page = self.cache.lookup(key, self.state.version)
         if page is not None:
             return page
@@ -344,14 +359,14 @@ class ServingEngine:
             if open_slots > 0
             else np.zeros(0, dtype=bool)
         )
-        s = min(int(flips.sum()), pool_count)
+        s = min(np.count_nonzero(flips), pool_count)
         n_unpromoted = n - pool_count
         if k - s > n_unpromoted:
             # Deterministic list drains within the page; tail comes from the pool.
             s = min(k - n_unpromoted, pool_count)
 
         slots = np.zeros(k, dtype=bool)
-        flip_true = np.flatnonzero(flips) + protected
+        flip_true = flips.nonzero()[0] + protected
         if s < flip_true.size:
             flip_true = flip_true[:s]  # promotion pool drained
         slots[flip_true] = True
@@ -388,7 +403,7 @@ class ServingEngine:
         if not side.size:
             return base
         candidates = np.concatenate((base, side))
-        ranked = np.argsort(-self.state.popularity[candidates], kind="stable")
+        ranked = (-self.state.popularity[candidates]).argsort(kind="stable")
         return candidates[ranked[:need]]
 
     def _base_prefix(self, need: int, mask: Optional[np.ndarray]) -> np.ndarray:
@@ -424,7 +439,7 @@ class ServingEngine:
             return np.zeros(0, dtype=int)
         n = mask.size
         if pool_count < max(1024, 4 * s) or 4 * pool_count < n:
-            members = np.flatnonzero(mask)
+            members = mask.nonzero()[0]
             return members[generator.choice(members.size, size=s, replace=False)]
         # Dense pool: rejection sampling avoids materializing the member list.
         chosen: list = []

@@ -114,12 +114,12 @@ def _worker_main(
     for router in routers.values():
         report = router.flush_feedback()
         rounds = 0
-        while len(router.dead_letters) and rounds < 64:
+        while len(router.robustness.dead_letters) and rounds < 64:
             report.merge(router.redeliver_dead_letters())
             rounds += 1
         committed += float(report.committed)
         leftover_events += float(
-            sum(letter.events for letter in router.dead_letters.letters)
+            sum(letter.events for letter in router.robustness.dead_letters.letters)
         )
     payload = {
         "worker": float(worker_index),
@@ -128,8 +128,10 @@ def _worker_main(
         "feedback_events": feedback_events,
         "committed_events": committed,
         "dead_letter_events": leftover_events,
-        "occ_conflicts": float(sum(r.occ_conflicts for r in routers.values())),
-        "occ_retries": float(sum(r.occ_retries for r in routers.values())),
+        "occ_conflicts": float(
+            sum(r.robustness.occ_conflicts for r in routers.values())
+        ),
+        "occ_retries": float(sum(r.robustness.occ_retries for r in routers.values())),
     }
     for tenant, count in queries_per_tenant.items():
         payload["queries_tenant_%d" % tenant] = count

@@ -5,12 +5,17 @@ owned by one :class:`~repro.serving.engine.ServingEngine` with its own
 popularity state, result cache and random stream.  The router:
 
 * hashes every query id to a shard with a stable (process-independent)
-  hash, so a query always lands on the same community;
-* serves the query from that shard's engine/cache;
+  hash, so a query always lands on the same community.  Ids of exact type
+  ``int`` or ``str`` are memoized per router (at most
+  :data:`SHARD_MEMO_LIMIT` of them), so a repeated query costs one dict
+  lookup instead of a CRC32 over its repr;
+* serves the query from that shard's engine/cache, and counts it once the
+  shard accepted it;
 * *buffers* visit feedback per shard and applies it in batches — one
   O(batch) state update and one order repair per flush instead of one per
   event, which is what keeps the incremental path cheap under heavy
-  feedback traffic;
+  feedback traffic.  A page index outside its shard is rejected before it
+  is buffered;
 * *commits* each flushed batch through the OCC write path: the commit
   carries the popularity-store version the writer read, a conflicting
   commit is rejected and retried with bounded jittered backoff, and a
@@ -55,12 +60,18 @@ from repro.telemetry.recorder import NULL_RECORDER
 from repro.utils.rng import RandomSource, as_rng
 
 
+#: A router's routing memo is cleared once it holds this many query ids.
+SHARD_MEMO_LIMIT = 1 << 16
+
+
 def stable_shard_hash(query_id: Hashable) -> int:
     """Deterministic non-negative hash of a query id.
 
     Python's builtin ``hash`` is salted per process; CRC32 over the repr is
     stable across runs and machines, which keeps shard assignment (and with
-    it every downstream random stream) reproducible.
+    it every downstream random stream) reproducible.  Because it hashes the
+    repr, ids that compare equal but print differently (``1``, ``True``,
+    ``1.0``, ``np.int64(1)``) may hash differently.
     """
     return zlib.crc32(repr(query_id).encode("utf-8"))
 
@@ -121,6 +132,10 @@ class ShardedRouter:
         if not engines:
             raise ValueError("a router needs at least one shard engine")
         self.engines: List[ServingEngine] = list(engines)
+        # Shard sizes never change, and a crashed shard has no state to
+        # read them from; feedback is validated against these.
+        self._shard_sizes = [engine.state.n for engine in self.engines]
+        self._shard_memo: Dict[Hashable, int] = {}
         self._pending_indices: List[List[int]] = [[] for _ in self.engines]
         self._pending_visits: List[List[float]] = [[] for _ in self.engines]
         self.queries_routed = 0
@@ -134,88 +149,6 @@ class ShardedRouter:
         self.telemetry = NULL_RECORDER
         self.faults = NULL_INJECTOR
         self.robustness = RouterRobustnessState()
-
-    # -------------------------------------------------- robustness views
-    # Back-compat delegation: external code (tests, benches, operators)
-    # historically read these straight off the router.
-
-    @property
-    def supervisors(self):
-        """Per-shard supervisors, or None while robustness is disarmed."""
-        return self.robustness.supervisors
-
-    @supervisors.setter
-    def supervisors(self, value) -> None:
-        self.robustness.supervisors = value
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """OCC retry/backoff policy applied by ``_commit_shard``."""
-        return self.robustness.retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, value: RetryPolicy) -> None:
-        self.robustness.retry_policy = value
-
-    @property
-    def dead_letters(self) -> DeadLetterQueue:
-        """Feedback batches that exhausted their commit attempts."""
-        return self.robustness.dead_letters
-
-    @dead_letters.setter
-    def dead_letters(self, value: DeadLetterQueue) -> None:
-        self.robustness.dead_letters = value
-
-    @property
-    def occ_conflicts(self) -> int:
-        """Total conflicting commit attempts observed."""
-        return self.robustness.occ_conflicts
-
-    @occ_conflicts.setter
-    def occ_conflicts(self, value: int) -> None:
-        self.robustness.occ_conflicts = value
-
-    @property
-    def occ_retries(self) -> int:
-        """Total backed-off commit retries."""
-        return self.robustness.occ_retries
-
-    @occ_retries.setter
-    def occ_retries(self, value: int) -> None:
-        self.robustness.occ_retries = value
-
-    @property
-    def backoff_seconds(self) -> float:
-        """Total scheduled retry backoff."""
-        return self.robustness.backoff_seconds
-
-    @backoff_seconds.setter
-    def backoff_seconds(self, value: float) -> None:
-        self.robustness.backoff_seconds = value
-
-    @property
-    def _retry_rng(self):
-        return self.robustness.retry_rng
-
-    @_retry_rng.setter
-    def _retry_rng(self, value) -> None:
-        self.robustness.retry_rng = value
-
-    @property
-    def _sleep(self):
-        return self.robustness.sleep
-
-    @_sleep.setter
-    def _sleep(self, value) -> None:
-        self.robustness.sleep = value
-
-    @property
-    def _fault_queries(self) -> int:
-        return self.robustness.fault_queries
-
-    @_fault_queries.setter
-    def _fault_queries(self, value: int) -> None:
-        self.robustness.fault_queries = value
 
     @classmethod
     def from_community(
@@ -270,11 +203,28 @@ class ShardedRouter:
     @property
     def n_pages(self) -> int:
         """Total pages across all shards."""
-        return sum(engine.state.n for engine in self.engines)
+        return sum(self._shard_sizes)
 
     def shard_for(self, query_id: Hashable) -> int:
-        """Shard index the query is routed to (stable across runs)."""
-        return stable_shard_hash(query_id) % self.n_shards
+        """Shard index the query is routed to (stable across runs).
+
+        Always ``stable_shard_hash(query_id) % n_shards``.  Ids of exact type
+        ``int`` or ``str`` are memoized: equal values of those two types have
+        equal reprs, so the memo returns what the hash would.  Every other
+        type is hashed on each call, because equal values of it may route
+        differently (``True`` and ``1.0`` equal ``1``).  The memo is cleared
+        when it reaches :data:`SHARD_MEMO_LIMIT` ids.
+        """
+        kind = type(query_id)
+        if kind is not int and kind is not str:
+            return stable_shard_hash(query_id) % len(self.engines)
+        memo = self._shard_memo
+        shard = memo.get(query_id)
+        if shard is None:
+            if len(memo) >= SHARD_MEMO_LIMIT:
+                memo.clear()
+            shard = memo[query_id] = stable_shard_hash(query_id) % len(self.engines)
+        return shard
 
     def attach_telemetry(self, recorder) -> None:
         """Point the router, every engine and every cache at ``recorder``.
@@ -334,28 +284,30 @@ class ShardedRouter:
 
         Raises :class:`~repro.robustness.faults.LoadShedError` if fault
         injection has the query's shard down and the last-known-good page
-        is staler than the escalating degradation budget allows.
+        is staler than the escalating degradation budget allows.  A query
+        that raises (shed, or ``k < 1``) is not counted as routed.
         """
         shard = self.shard_for(query_id)
+        if self.faults.enabled:
+            page = self._serve_supervised(shard, k)
+        else:
+            page = self.engines[shard].serve(k)
+            # Recorded after the engine call so the cache outcome of this
+            # very query is inside the window row a boundary tick emits.
+            if self.telemetry.enabled:
+                self.telemetry.record_query(shard)
         self.queries_routed += 1
         self.queries_per_shard[shard] += 1
-        if self.faults.enabled:
-            return self._serve_supervised(shard, k)
-        page = self.engines[shard].serve(k)
-        # Recorded after the engine call so the cache outcome of this very
-        # query is inside the window row a boundary tick emits.
-        if self.telemetry.enabled:
-            self.telemetry.record_query(shard)
         return page
 
     def _serve_supervised(self, shard: int, k: int) -> np.ndarray:
         """Fault-aware serve: fire due events, degrade/recover as needed."""
         faults = self.faults
-        self._fault_queries += 1
-        query_index = self._fault_queries
+        self.robustness.fault_queries += 1
+        query_index = self.robustness.fault_queries
         faults.on_query(query_index)
         status = faults.poll(shard, query_index)
-        supervisor = self.supervisors[shard]
+        supervisor = self.robustness.supervisors[shard]
         if status == "recover":
             self._recover_shard(shard)
             status = "up"
@@ -378,7 +330,7 @@ class ShardedRouter:
         return page
 
     def _recover_shard(self, shard: int) -> None:
-        elapsed = self.supervisors[shard].recover()
+        elapsed = self.robustness.supervisors[shard].recover()
         self.faults.mark_recovered(shard)
         if self.telemetry.enabled:
             self.telemetry.record_recovery(shard, elapsed)
@@ -386,9 +338,18 @@ class ShardedRouter:
     def submit_feedback(
         self, query_id: Hashable, page_index: int, visits: float = 1.0
     ) -> None:
-        """Buffer one visit-feedback event for the query's shard."""
+        """Buffer one visit-feedback event for the query's shard.
+
+        Raises ``ValueError``, buffering and counting nothing, unless
+        ``0 <= page_index <`` the shard's page count.
+        """
         shard = self.shard_for(query_id)
         page_index = int(page_index)
+        if not 0 <= page_index < self._shard_sizes[shard]:
+            raise ValueError(
+                "page index %d is outside shard %d's %d pages"
+                % (page_index, shard, self._shard_sizes[shard])
+            )
         self._pending_indices[shard].append(page_index)
         self._pending_visits[shard].append(float(visits))
         self.feedback_buffered += 1
@@ -417,7 +378,7 @@ class ShardedRouter:
         faults = self.faults
         for shard, engine in enumerate(self.engines):
             if faults.enabled:
-                if faults.is_down(shard, self._fault_queries):
+                if faults.is_down(shard, self.robustness.fault_queries):
                     continue
                 if faults.needs_recovery(shard):
                     self._recover_shard(shard)
@@ -476,8 +437,10 @@ class ShardedRouter:
         version read and the commit — exactly the window a real concurrent
         writer would hit.
         """
-        supervisor = self.supervisors[shard] if self.supervisors is not None else None
-        policy = self.retry_policy
+        robustness = self.robustness
+        supervisors = robustness.supervisors
+        supervisor = supervisors[shard] if supervisors is not None else None
+        policy = robustness.retry_policy
         faults = self.faults
         conflicts = 0
         while True:
@@ -500,11 +463,11 @@ class ShardedRouter:
                     return int(indices.size)
             conflicts += 1
             report.conflicts += 1
-            self.occ_conflicts += 1
+            robustness.occ_conflicts += 1
             if self.telemetry.enabled:
                 self.telemetry.record_commit_conflict()
             if conflicts >= policy.max_attempts:
-                self.dead_letters.park(
+                robustness.dead_letters.park(
                     DeadLetter(
                         shard=shard,
                         indices=indices,
@@ -518,14 +481,14 @@ class ShardedRouter:
                     self.telemetry.record_dead_letter(int(indices.size))
                 return 0
             report.retries += 1
-            self.occ_retries += 1
-            backoff = policy.backoff_seconds(conflicts, self._retry_rng)
+            robustness.occ_retries += 1
+            backoff = policy.backoff_seconds(conflicts, robustness.retry_rng)
             report.backoff_seconds += backoff
-            self.backoff_seconds += backoff
+            robustness.backoff_seconds += backoff
             if self.telemetry.enabled:
                 self.telemetry.record_commit_retry()
             if backoff > 0.0:
-                self._sleep(backoff)
+                robustness.sleep(backoff)
 
     def redeliver_dead_letters(self) -> FlushReport:
         """Re-commit every parked dead-letter batch through the OCC loop.
@@ -534,7 +497,7 @@ class ShardedRouter:
         batches that conflict out again are parked again.
         """
         report = FlushReport()
-        for letter in self.dead_letters.drain():
+        for letter in self.robustness.dead_letters.drain():
             report.batches += 1
             report.committed += self._commit_shard(
                 letter.shard,
@@ -554,16 +517,17 @@ class ShardedRouter:
         """
         self.flush_feedback()
         faults = self.faults
+        supervisors = self.robustness.supervisors
         for shard, engine in enumerate(self.engines):
             if faults.enabled and (
-                faults.is_down(shard, self._fault_queries)
+                faults.is_down(shard, self.robustness.fault_queries)
                 or faults.needs_recovery(shard)
             ):
                 continue
             day_before = float(engine.day)
             replaced = engine.advance_day()
-            if self.supervisors is not None:
-                self.supervisors[shard].journal_day(replaced, day_before)
+            if supervisors is not None:
+                supervisors[shard].journal_day(replaced, day_before)
 
     def cache_stats(self) -> CacheStats:
         """Aggregate cache counters across shards."""
@@ -581,29 +545,31 @@ class ShardedRouter:
 
     def stats(self) -> Dict[str, float]:
         """Routing and cache counters as one flat dictionary."""
+        robustness = self.robustness
         report = {
             "n_shards": float(self.n_shards),
             "n_pages": float(self.n_pages),
             "queries_routed": float(self.queries_routed),
             "feedback_buffered": float(self.feedback_buffered),
             "flushes": float(self.flushes),
-            "occ_conflicts": float(self.occ_conflicts),
-            "occ_retries": float(self.occ_retries),
-            "occ_backoff_seconds": float(self.backoff_seconds),
-            "dead_letter_batches": float(self.dead_letters.total_batches),
-            "dead_letter_events": float(self.dead_letters.total_events),
+            "occ_conflicts": float(robustness.occ_conflicts),
+            "occ_retries": float(robustness.occ_retries),
+            "occ_backoff_seconds": float(robustness.backoff_seconds),
+            "dead_letter_batches": float(robustness.dead_letters.total_batches),
+            "dead_letter_events": float(robustness.dead_letters.total_events),
         }
         for shard, count in enumerate(self.queries_per_shard):
             report["queries_shard_%d" % shard] = float(count)
-        if self.supervisors is not None:
+        supervisors = robustness.supervisors
+        if supervisors is not None:
             totals: Dict[str, float] = {}
-            for supervisor in self.supervisors:
+            for supervisor in supervisors:
                 for name, value in supervisor.counters().items():
                     totals[name] = totals.get(name, 0.0) + value
             # All-shards bit-identity is the AND, not the sum.
             totals["recovered_bit_identical"] = min(
                 supervisor.counters()["recovered_bit_identical"]
-                for supervisor in self.supervisors
+                for supervisor in supervisors
             )
             report.update(totals)
         if self.faults.enabled:
@@ -612,4 +578,9 @@ class ShardedRouter:
         return report
 
 
-__all__ = ["RouterRobustnessState", "ShardedRouter", "stable_shard_hash"]
+__all__ = [
+    "SHARD_MEMO_LIMIT",
+    "RouterRobustnessState",
+    "ShardedRouter",
+    "stable_shard_hash",
+]

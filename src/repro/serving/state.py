@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,31 @@ try:  # pragma: no cover - absent only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover
     _shared_memory = None
+
+
+def sum_by_page(
+    indices: np.ndarray, visits: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct pages of a 1-D feedback batch and the float visits per page.
+
+    Returns ``(touched, summed)``: the distinct ``indices`` ascending, in
+    their dtype, and each page's visits summed.  The bytes equal those of
+    ``np.unique(indices, return_inverse=True)`` followed by ``np.add.at``
+    into zeros.  A stable sort keeps each page's visits in batch order, and
+    ``np.bincount`` adds them one at a time onto 0.0 as ``np.add.at`` does
+    (the pairwise ``np.add.reduceat`` would not), so a lone ``-0.0`` visit
+    sums to ``+0.0`` as well.  A batch that repeats no page skips the
+    bincount.
+    """
+    order = indices.argsort(kind="stable")
+    keys = indices[order]
+    fresh = keys[1:] != keys[:-1]
+    if fresh.all():
+        return keys, 0.0 + visits[order]
+    starts = np.empty(keys.size, dtype=bool)
+    starts[0] = True
+    starts[1:] = fresh
+    return keys[starts], np.bincount(starts.cumsum() - 1, weights=visits[order])
 
 
 class PopularityState:
@@ -95,9 +120,9 @@ class PopularityState:
         """Apply a sparse batch of monitored visits; O(batch) work.
 
         ``indices`` may contain duplicates (several feedback events for the
-        same page); visit counts are summed per page before the awareness
-        update so the batch is equivalent to one day's worth of those visits
-        landing together.
+        same page); :func:`sum_by_page` sums the visit counts per page before
+        the awareness update, so the batch is equivalent to one day's worth
+        of those visits landing together.
 
         The fluid-mode arithmetic routes through the active kernel
         backend's ``feedback_flush`` (the same kernel the lockstep sweep's
@@ -110,9 +135,7 @@ class PopularityState:
             raise ValueError("indices and visits must have the same shape")
         if indices.size == 0:
             return
-        touched, inverse = np.unique(indices, return_inverse=True)
-        summed = np.zeros(touched.size)
-        np.add.at(summed, inverse, visits)
+        touched, summed = sum_by_page(indices, visits)
 
         pool = self.pool
         if self.mode == "fluid":
@@ -220,7 +243,7 @@ class PopularityState:
         sorted order calls this when repairing; anything else should rely on
         ``version`` alone.
         """
-        dirty = np.flatnonzero(self._dirty_mask)
+        dirty = self._dirty_mask.nonzero()[0]
         self._dirty_mask[:] = False
         return dirty
 
@@ -451,7 +474,7 @@ class SharedPopularityState(PopularityState):
 
     def consume_dirty(self) -> np.ndarray:
         with self._lock:
-            dirty = np.flatnonzero(self._dirty_mask)
+            dirty = self._dirty_mask.nonzero()[0]
             self._dirty_mask[:] = False
             if dirty.size:
                 pool = self.pool
@@ -490,4 +513,5 @@ __all__ = [
     "SharedShardHandle",
     "shared_block_nbytes",
     "shared_memory_available",
+    "sum_by_page",
 ]

@@ -65,6 +65,7 @@ from repro.core.policy import VALID_RULES, RankPromotionPolicy
 from repro.serving.cache import page_key
 from repro.serving.engine import ServingEngine
 from repro.serving.router import ShardedRouter, stable_shard_hash
+from repro.serving.state import sum_by_page
 from repro.serving.workload import RecordedTrace, StreamingWorkload, WorkloadConfig, record_trace
 from repro.utils.parallel import default_workers
 from repro.utils.rng import derive_seed
@@ -333,7 +334,7 @@ class _VariantReplay:
         # Window scratch, set by route()/finish().
         self._w_shards: Optional[np.ndarray] = None
         self._w_lanes: Optional[np.ndarray] = None
-        self._w_counts: Optional[np.ndarray] = None
+        self._w_counts: List[int] = []
         self._w_pages: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------- windowing
@@ -353,32 +354,34 @@ class _VariantReplay:
             if shards.size < inverse_w.size:
                 shards = np.zeros(inverse_w.size, dtype=np.int64)
             lanes = _SINGLE_LANE
-            counts = np.asarray([inverse_w.size], dtype=np.int64)
+            counts = [inverse_w.size]
         else:
             shards = self.shard_table[inverse_w]
             tally = np.bincount(shards, minlength=len(self.lanes))
-            lanes = np.flatnonzero(tally)
-            counts = tally[lanes]
+            # ``nonzero`` skips ``flatnonzero``'s Python-level wrappers;
+            # this runs per variant and window.
+            lanes = tally.nonzero()[0]
+            counts = tally[lanes].tolist()
         self._w_shards, self._w_lanes, self._w_counts = shards, lanes, counts
         pages = self._w_pages
         pages.clear()
         if self.per_query:
             return []  # served query-by-query in finish()
         stale: List[Tuple["_VariantReplay", int]] = []
-        for lane_index in lanes:
-            lane = self.lanes[int(lane_index)]
+        for lane_index in lanes.tolist():
+            lane = self.lanes[lane_index]
             engine = lane.engine
             if engine.cache is not None:
                 page = engine.cache.lookup(lane.key, engine.state.version)
                 if page is None:
-                    stale.append((self, int(lane_index)))
+                    stale.append((self, lane_index))
                 else:
-                    pages[int(lane_index)] = page
+                    pages[lane_index] = page
             else:
                 # Deterministic and uncached: the page is a pure function of
                 # the frozen state, recomputed once per window (the
                 # standalone path recomputes it per query to the same bits).
-                stale.append((self, int(lane_index)))
+                stale.append((self, lane_index))
         return stale
 
     def store_page(self, lane_index: int, page: np.ndarray) -> None:
@@ -397,82 +400,84 @@ class _VariantReplay:
         positions_by_k: Dict[int, np.ndarray],
     ) -> None:
         """Digest the window's pages and buffer its click feedback."""
-        shards, lanes, counts = self._w_shards, self._w_lanes, self._w_counts
+        if self.per_query:
+            self._finish_per_query(trace, start, end)
+            return
+        shards, lanes = self._w_shards, self._w_lanes.tolist()
         pages = self._w_pages
         router = self.router
         window = end - start
 
-        if self.per_query:
-            self._finish_per_query(trace, start, end)
-            return
-
         # Result-page digest over the window, in query order.  A streaming
         # CRC over equal bytes gives the same digest as the standalone
         # per-query accumulation.
-        if lanes.size == 1:
-            page = pages[int(lanes[0])]
+        grid = None
+        if len(lanes) == 1:
+            page = pages[lanes[0]]
             self.pages_crc = zlib.crc32(page.tobytes() * window, self.pages_crc)
         else:
-            sizes = {pages[int(lane)].size for lane in lanes}
-            if len(sizes) == 1:
-                stacked = np.stack([pages[int(lane)] for lane in lanes])
-                block = stacked[np.searchsorted(lanes, shards)]
+            rows = [pages[lane] for lane in lanes]
+            row_of_query = self._w_lanes.searchsorted(shards)
+            if len({row.size for row in rows}) == 1:
+                # One (lanes, k) grid; its rows in query order are the pages
+                # (a row ``take`` is several times faster than ``grid[rows]``).
+                grid = np.concatenate(rows).reshape(len(rows), -1)
                 self.pages_crc = zlib.crc32(
-                    np.ascontiguousarray(block).tobytes(), self.pages_crc
+                    grid.take(row_of_query, axis=0).tobytes(), self.pages_crc
                 )
             else:  # ragged page lengths (k exceeds a shard's size)
-                for lane_of_query in shards:
+                for lane_of_query in shards.tolist():
                     self.pages_crc = zlib.crc32(
-                        pages[int(lane_of_query)].tobytes(), self.pages_crc
+                        pages[lane_of_query].tobytes(), self.pages_crc
                     )
 
+        # ``np.add.reduce`` is ``ndarray.sum`` without its Python wrapper:
+        # the same pairwise sum, bit for bit.
         if clicks.size:
             positions = positions_by_k[self.variant.k]
-            if lanes.size == 1:
-                page = pages[int(lanes[0])]
+            if len(lanes) == 1:
+                lane_index = lanes[0]
+                page = pages[lane_index]
                 ranks = np.minimum(positions, page.size - 1)
                 clicked = page[ranks].astype(np.int64, copy=False)
                 # Buffer straight into the router's per-shard feedback lists
                 # (the shard is already known, so rehashing the query id the
                 # way submit_feedback does would be pure overhead).
-                pending = router._pending_indices[int(lanes[0])]
-                pending.extend(clicked.tolist())
-                router._pending_visits[int(lanes[0])].extend(
-                    [1.0] * clicked.size
-                )
-                self.clicked_quality_sum += float(
-                    self.lanes[int(lanes[0])].engine.state.pool.quality[clicked].sum()
-                )
+                router._pending_indices[lane_index].extend(clicked.tolist())
+                router._pending_visits[lane_index].extend([1.0] * clicked.size)
+                quality = self.lanes[lane_index].engine.state.pool.quality
+                self.clicked_quality_sum += float(np.add.reduce(quality[clicked]))
             else:
-                click_lanes = shards[clicks]
-                clicked = np.empty(clicks.size, dtype=np.int64)
-                for lane_index in lanes:
-                    lane_index = int(lane_index)
-                    mine = click_lanes == lane_index
-                    hits = int(mine.sum())
-                    if not hits:
+                click_rows = row_of_query[clicks]
+                if grid is not None:
+                    width = grid.shape[1]
+                    ranks = np.minimum(positions, width - 1)
+                    clicked = grid.ravel()[click_rows * width + ranks]
+                else:  # each lane clips the ranks to its own page length
+                    clicked = np.empty(clicks.size, dtype=np.int64)
+                    for row, page in enumerate(rows):
+                        mine = click_rows == row
+                        clicked[mine] = page[np.minimum(positions[mine], page.size - 1)]
+                clicked = clicked.astype(np.int64, copy=False)
+                for row, lane_index in enumerate(lanes):
+                    values = clicked[click_rows == row]
+                    if not values.size:
                         continue
-                    page = pages[lane_index]
-                    ranks = np.minimum(positions[mine], page.size - 1)
-                    values = page[ranks]
-                    clicked[mine] = values
                     router._pending_indices[lane_index].extend(values.tolist())
-                    router._pending_visits[lane_index].extend([1.0] * hits)
-                    self.clicked_quality_sum += float(
-                        self.lanes[lane_index].engine.state.pool.quality[values].sum()
-                    )
+                    router._pending_visits[lane_index].extend([1.0] * values.size)
+                    quality = self.lanes[lane_index].engine.state.pool.quality
+                    self.clicked_quality_sum += float(np.add.reduce(quality[values]))
             router.feedback_buffered += int(clicks.size)
             self.feedback_events += int(clicks.size)
             self.clicked_crc = zlib.crc32(clicked.tobytes(), self.clicked_crc)
 
         router.queries_routed += window
         per_shard = router.queries_per_shard
-        for lane_index, count in zip(lanes, counts, strict=True):
-            lane_index = int(lane_index)
-            per_shard[lane_index] += int(count)
+        for lane_index, count in zip(lanes, self._w_counts, strict=True):
+            per_shard[lane_index] += count
             engine = self.lanes[lane_index].engine
             if engine.cache is not None and count > 1:
-                engine.cache.stats.hits += int(count) - 1
+                engine.cache.stats.hits += count - 1
 
     def _finish_per_query(
         self, trace: RecordedTrace, start: int, end: int
@@ -769,18 +774,17 @@ class ServingSweep:
         the arithmetic is elementwise identical per entry by construction.
         """
         n = group.n
-        keys = np.concatenate(
-            [
-                np.asarray(indices, dtype=np.int64) + row * n
-                for row, _, indices, _ in entries
-            ]
-        )
-        visits = np.concatenate(
-            [np.asarray(batch, dtype=float) for _, _, _, batch in entries]
-        )
-        touched, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(touched.size)
-        np.add.at(summed, inverse, visits)
+        offsets: List[int] = []
+        pages: List[int] = []
+        visits: List[float] = []
+        for row, _, indices, batch in entries:
+            offsets.append(row * n)
+            pages += indices
+            visits += batch
+        # One conversion of the joined lists, not one small array per lane.
+        keys = np.asarray(pages, dtype=np.int64)
+        keys += np.repeat(offsets, [len(indices) for _, _, indices, _ in entries])
+        touched, summed = sum_by_page(keys, np.asarray(visits, dtype=float))
 
         get_backend().feedback_flush(
             group.aware.ravel(),
@@ -799,18 +803,17 @@ class ServingSweep:
         batches: List[Tuple[ServingEngine, List[int], List[float]]]
     ) -> None:
         stride = 1 + max(engine.state.n for engine, _, _ in batches)
-        keys = np.concatenate(
-            [
-                np.asarray(indices, dtype=np.int64) + lane * stride
-                for lane, (_, indices, _) in enumerate(batches)
-            ]
+        pages: List[int] = []
+        visits: List[float] = []
+        for _, indices, batch_visits in batches:
+            pages += indices
+            visits += batch_visits
+        keys = np.asarray(pages, dtype=np.int64)
+        keys += np.repeat(
+            np.arange(len(batches), dtype=np.int64) * stride,
+            [len(indices) for _, indices, _ in batches],
         )
-        visits = np.concatenate(
-            [np.asarray(batch_visits, dtype=float) for _, _, batch_visits in batches]
-        )
-        touched_keys, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(touched_keys.size)
-        np.add.at(summed, inverse, visits)
+        touched_keys, summed = sum_by_page(keys, np.asarray(visits, dtype=float))
         # Lane segments of the sorted key space, then one elementwise pass.
         segments = np.searchsorted(
             touched_keys, np.arange(len(batches) + 1, dtype=np.int64) * stride
@@ -960,39 +963,37 @@ class ServingSweep:
         coin-to-slot bookkeeping of every lane runs through one
         clipped-cumsum kernel call.
         """
-        count = len(lanes)
-        k_max = max(replay.lanes[lane_index].k for replay, lane_index in lanes)
-        flips = np.zeros((count, k_max), dtype=bool)
-        n_deterministic = np.empty(count, dtype=np.int64)
-        n_promoted = np.empty(count, dtype=np.int64)
+        served = [replay.lanes[lane_index] for replay, lane_index in lanes]
+        flips = np.zeros((len(lanes), max(lane.k for lane in served)), dtype=bool)
         masks: List[np.ndarray] = []
-        for row, (replay, lane_index) in enumerate(lanes):
-            lane = replay.lanes[lane_index]
+        pools: List[int] = []
+        for row, ((replay, _), lane) in enumerate(zip(lanes, served, strict=True)):
             engine = lane.engine
-            mask = np.asarray(engine._promotion_pool_mask(engine.rng), dtype=bool)
+            mask = engine._promotion_pool_mask(engine.rng)
             masks.append(mask)
-            pool = np.count_nonzero(mask)
-            n_promoted[row] = pool
-            n_deterministic[row] = engine.state.n - pool
+            pools.append(np.count_nonzero(mask))
             protected = min(replay.variant.promote_k - 1, lane.k)
             open_slots = lane.k - protected
             if open_slots > 0:
                 flips[row, protected:lane.k] = (
                     engine.rng.random(open_slots) < replay.variant.r
                 )
+        n_promoted = np.asarray(pools, dtype=np.int64)
+        n_deterministic = np.asarray([mask.size for mask in masks]) - n_promoted
         slots_matrix = batched_prefix_promotion_slots(
             flips, n_deterministic, n_promoted
         )
-        for row, (replay, lane_index) in enumerate(lanes):
-            lane = replay.lanes[lane_index]
+        for row, ((replay, lane_index), lane) in enumerate(
+            zip(lanes, served, strict=True)
+        ):
             engine = lane.engine
             slots = slots_matrix[row, : lane.k]
-            promoted_count = int(slots.sum())
+            promoted_count = np.count_nonzero(slots)
             deterministic = engine._unpromoted_prefix(
                 lane.k - promoted_count, masks[row]
             )
             promoted = engine._sample_pool(
-                engine.rng, masks[row], int(n_promoted[row]), promoted_count
+                engine.rng, masks[row], pools[row], promoted_count
             )
             page = np.empty(lane.k, dtype=int)
             page[slots] = promoted

@@ -262,7 +262,7 @@ class TestOCCState:
         assert report.retries == 1
         assert report.dead_letter_batches == 0
         assert report.backoff_seconds > 0.0
-        assert router.occ_conflicts == 1
+        assert router.robustness.occ_conflicts == 1
 
     def test_router_dead_letters_then_redelivers(self):
         router = build_router()
@@ -281,7 +281,7 @@ class TestOCCState:
         assert report.committed == 0
         assert report.dead_letter_batches == 1
         assert report.dead_letter_events == 1
-        assert len(router.dead_letters) == 1
+        assert len(router.robustness.dead_letters) == 1
         # Two more injected conflicts remain: the first redelivery conflicts
         # out again and is re-parked ...
         report = router.redeliver_dead_letters()
@@ -290,8 +290,8 @@ class TestOCCState:
         # ... and once the storm passes (one conflict left), it commits.
         report = router.redeliver_dead_letters()
         assert report.committed == 1
-        assert len(router.dead_letters) == 0
-        assert router.dead_letters.total_batches == 2  # history preserved
+        assert len(router.robustness.dead_letters) == 0
+        assert router.robustness.dead_letters.total_batches == 2  # history preserved
 
     def test_flush_truthiness_preserved(self):
         router = build_router()
@@ -511,7 +511,7 @@ class TestDegradation:
         router.submit_feedback(query, page_index=1)
         with pytest.raises(LoadShedError):
             router.serve(query, k=5)
-        supervisor = router.supervisors[0]
+        supervisor = router.robustness.supervisors[0]
         assert supervisor.degraded_serves == 1
         assert supervisor.load_sheds == 1
 
@@ -695,5 +695,5 @@ class TestChaosBench:
         router.disable_robustness()
         query = query_for_shard(router, 0)
         router.serve(query, k=5)
-        assert router.supervisors is None
+        assert router.robustness.supervisors is None
         assert not router.faults.enabled

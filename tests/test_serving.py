@@ -8,11 +8,12 @@ version-stamped cache, the sharded router and the workload generator.
 """
 
 import copy
+import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serving.engine as engine_module
@@ -33,7 +34,9 @@ from repro.serving import (
     WorkloadConfig,
     run_stream,
 )
-from repro.serving.router import stable_shard_hash
+from repro.serving.config import ServingConfig, build_router
+from repro.serving.router import SHARD_MEMO_LIMIT, stable_shard_hash
+from repro.serving.state import sum_by_page
 from repro.simulation import SimulationConfig, Simulator, replay_day
 
 
@@ -122,6 +125,53 @@ def test_state_popularity_cache_consistent(serving_community):
         idx = rng.integers(0, state.n, size=8)
         state.apply_visits_at(idx, np.ones(8))
     np.testing.assert_allclose(state.popularity, state.pool.popularity)
+
+
+def _sum_by_page_reference(indices, visits):
+    """The dedupe ``sum_by_page`` replaced: unique, zeros, ``np.add.at``."""
+    touched, inverse = np.unique(indices, return_inverse=True)
+    summed = np.zeros(touched.size)
+    with np.errstate(all="ignore"):  # overflow and inf - inf are in the domain
+        np.add.at(summed, inverse, visits)
+    return touched, summed
+
+
+_VISIT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-16, 1e16, -1e16, np.inf, -np.inf, np.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    events=st.lists(st.tuples(st.integers(-4, 4), _VISIT_VALUES), max_size=80),
+    wide=st.booleans(),
+)
+# One page 17 times: sequential adds give 1.0, a pairwise sum 1.0000000000000016.
+@example(events=[(3, 1.0)] + [(3, 1e-16)] * 16, wide=True)
+@example(events=[(2, -0.0), (-1, -0.0), (2, -0.0)], wide=False)
+@example(events=[], wide=False)
+def test_sum_by_page_matches_unique_add_at_bytes(events, wide):
+    """Byte-equal to the np.unique + np.add.at dedupe, dtype included."""
+    dtype = np.int64 if wide else np.int32
+    indices = np.array([page for page, _ in events], dtype=dtype)
+    visits = np.array([value for _, value in events], dtype=float)
+    touched, summed = sum_by_page(indices, visits)
+    expected_touched, expected_summed = _sum_by_page_reference(indices, visits)
+    assert touched.dtype == expected_touched.dtype == dtype
+    assert summed.dtype == expected_summed.dtype
+    assert touched.tobytes() == expected_touched.tobytes()
+    assert summed.tobytes() == expected_summed.tobytes()
+
+
+def test_sum_by_page_adds_each_page_in_batch_order():
+    """Visits of a page add one at a time onto 0.0, never pairwise."""
+    visits = np.array([1.0] + [1e-16] * 16 + [-0.0])
+    indices = np.array([5] * 17 + [2])
+    touched, summed = sum_by_page(indices, visits)
+    assert touched.tolist() == [2, 5]
+    assert summed[0] == 0.0 and not np.signbit(summed[0])  # -0.0 sums to +0.0
+    assert summed[1] == 1.0 != np.sum(visits[:17])
 
 
 # ----------------------------------------------------------------- engine
@@ -424,6 +474,22 @@ def test_engine_serve_rejects_bad_k(serving_community):
     assert engine.cache.stats.lookups == 0  # no phantom miss was recorded
 
 
+def test_engine_cache_key_is_shared_by_equal_k_values(serving_community):
+    """``int(k)`` picks the memoized key: 20, 20.0 and np.int64(20) share one."""
+    cache = ResultPageCache(capacity=8, staleness_budget=0)
+    engine = ServingEngine(serving_community, cache=cache, seed=3)
+    first = engine.serve(20)
+    for k in (20.0, np.int64(20), 20):
+        np.testing.assert_array_equal(engine.serve(k), first)
+    assert (cache.stats.misses, cache.stats.hits, len(cache)) == (1, 3, 1)
+    n = engine.state.n
+    page = engine.serve(n + 5)  # clamped to the shard's pages
+    assert page.size == n and np.unique(page).size == n
+    np.testing.assert_array_equal(engine.serve(np.int64(n)), page)
+    np.testing.assert_array_equal(engine.serve(float(n + 9)), page)
+    assert (cache.stats.misses, cache.stats.hits, len(cache)) == (2, 5, 2)
+
+
 def test_cached_pages_are_isolated_from_caller_mutation():
     cache = ResultPageCache(capacity=2, staleness_budget=0)
     original = np.array([5, 6, 7])
@@ -458,6 +524,72 @@ def test_router_stable_hashing(serving_community):
     assert stable_shard_hash("q1") == stable_shard_hash("q1")
     shards = {router.shard_for("query-%d" % i) for i in range(200)}
     assert shards == set(range(4))  # every shard receives traffic
+
+
+@functools.lru_cache(maxsize=1)
+def _eight_shard_engines():
+    return tuple(build_router(ServingConfig(n_pages=800, n_shards=8)).engines)
+
+
+#: Ids that compare equal in groups yet have different reprs, so different
+#: shards out of 8: 1/True/1.0/np.int64(1) -> 7/3/5/2, 0.0/-0.0 -> 2/7,
+#: (1, True)/(1, 1) -> 1/6.
+_ROUTED_IDS = (
+    1, True, 1.0, np.int64(1), 0.0, -0.0, (1, True), (1, 1), None,
+    "1", "query", "", 7, 2**70, -3, np.int64(-3), False, 0, "True",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(_ROUTED_IDS))
+def test_router_shard_memo_routes_like_the_hash(order):
+    """The memo answers as the hash does, whichever id type comes first."""
+    router = ShardedRouter(_eight_shard_engines())
+    for query in list(order) * 2:
+        assert router.shard_for(query) == stable_shard_hash(query) % 8, query
+    ones = {router.shard_for(query) for query in (1, True, 1.0, np.int64(1))}
+    assert len(ones) == 4
+    assert router.shard_for(0.0) != router.shard_for(-0.0)
+    assert router.shard_for((1, True)) != router.shard_for((1, 1))
+
+
+def test_router_shard_memo_stays_bounded():
+    router = ShardedRouter(_eight_shard_engines())
+    for query in range(SHARD_MEMO_LIMIT + 100):
+        router.shard_for(query)
+        router.shard_for("q%d" % query)
+    assert 0 < len(router._shard_memo) <= SHARD_MEMO_LIMIT
+    for query in (5, "q5", SHARD_MEMO_LIMIT + 99):
+        assert router.shard_for(query) == stable_shard_hash(query) % 8
+
+
+def test_router_rejects_feedback_outside_the_shard():
+    """A bad page index raises before it is counted or buffered."""
+    router = build_router(ServingConfig(n_pages=400, n_shards=2))
+    shard = router.shard_for("q")
+    size = router.engines[shard].state.n
+    page = router.serve("q", 5)
+    router.submit_feedback("q", int(page[0]))
+    for bad in (-1, size, size + 7):
+        with pytest.raises(ValueError, match="outside shard"):
+            router.submit_feedback("q", bad)
+    assert router.feedback_buffered == 1
+    assert router._pending_indices[shard] == [int(page[0])]
+    last = router.engines[shard].state.pool.aware_count[size - 1]
+    report = router.flush_feedback()  # the valid event still commits
+    assert report.committed == 1 and report.dead_letter_events == 0
+    assert router.engines[shard].state.pool.aware_count[size - 1] == last
+
+
+def test_router_counts_only_accepted_queries():
+    router = build_router(ServingConfig(n_pages=400, n_shards=2))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        router.serve("q", 0)
+    assert router.queries_routed == 0 and router.queries_per_shard == [0, 0]
+    assert router.cache_stats().lookups == 0
+    router.serve("q", 3)
+    assert router.queries_routed == 1
+    assert router.queries_per_shard[router.shard_for("q")] == 1
 
 
 def test_router_shard_sizes_sum_to_requested_pages(serving_community):

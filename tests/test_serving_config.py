@@ -123,8 +123,8 @@ class TestBuildRouter:
             n_pages=100, n_shards=1, max_attempts=2, backoff_base=1e-3
         )
         router = build_router(config)
-        assert router.retry_policy.max_attempts == 2
-        assert router.retry_policy.base_backoff_seconds == 1e-3
+        assert router.robustness.retry_policy.max_attempts == 2
+        assert router.robustness.retry_policy.base_backoff_seconds == 1e-3
 
     def test_telemetry_attaches(self):
         from repro.telemetry import TelemetryRecorder
@@ -149,21 +149,18 @@ class TestBuildRouter:
 class TestRouterRobustnessState:
     def test_created_in_one_place_and_delegated(self):
         router = build_router(ServingConfig(n_pages=400, n_shards=2))
-        assert router.supervisors is None
-        assert router.occ_conflicts == 0
-        assert router.retry_policy is router.robustness.retry_policy
-        assert router.dead_letters is router.robustness.dead_letters
-        router.occ_conflicts = 3
-        assert router.robustness.occ_conflicts == 3
+        assert router.robustness.supervisors is None
+        assert router.robustness.occ_conflicts == 0
 
     def test_enable_disable_round_trip(self):
         router = build_router(ServingConfig(n_pages=400, n_shards=2))
         retry = RetryPolicy(max_attempts=2)
         router.enable_robustness(retry=retry, seed=1)
-        assert router.retry_policy is retry
-        assert router.supervisors is not None and len(router.supervisors) == 2
+        assert router.robustness.retry_policy is retry
+        supervisors = router.robustness.supervisors
+        assert supervisors is not None and len(supervisors) == 2
         router.disable_robustness()
-        assert router.supervisors is None
+        assert router.robustness.supervisors is None
 
 
 class TestCliServingConfig:

@@ -177,6 +177,25 @@ def test_sweep_handles_query_free_and_empty_windows(sweep_community):
     assert results[0].feedback_events == 0
 
 
+def test_row_parity_with_ragged_page_lengths():
+    """Shards of 46 and 45 pages clamp k=46 to different page lengths."""
+    community = CommunityConfig(
+        n_pages=91,
+        n_users=30,
+        monitored_fraction=0.4,
+        visits_per_user_per_day=1.0,
+        expected_lifetime_days=30.0,
+    )
+    variants = [
+        SweepVariant(k=46, r=0.2, cache_capacity=8, staleness_budget=1,
+                     n_shards=2),
+        SweepVariant(k=46, r=0.0, cache_capacity=8, n_shards=2),
+    ]
+    sweep = ServingSweep(community, variants, seed=4)
+    assert [lane.k for lane in sweep._replays[0].lanes] == [46, 45]
+    assert_row_parity(community, variants, make_trace(feedback_rate=0.6), seed=4)
+
+
 # -------------------------------------------------------------- hypothesis
 
 
