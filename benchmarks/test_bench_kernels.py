@@ -67,10 +67,6 @@ KERNEL_INFO_KEYS = (
     "speedup_lane_repair_vs_perlane",
     "speedup_feedback_flush_vs_perlane",
     "speedup_numba_vs_numpy_day",
-    "adaptive_vs_full_rank_ratio",
-    "fluid_windowed_rank_ratio",
-    "windowed_route_rows",
-    "windowed_displacement_max",
     "blocked_vs_unblocked_tail_ratio",
     "parity_bit_identical",
 )
@@ -79,31 +75,10 @@ KERNEL_INFO_KEYS = (
 #: kernel-dispatch PR's criterion, asserted on the numba CI leg).
 MIN_NUMBA_DAY_SPEEDUP = 1.5
 
-#: Acceptance bar for the adaptive rank_day path on near-sorted fluid days
-#: at R=32/n=10k.  Asserted on the numba CI leg, whose fused per-row
-#: detection + re-insertion merge turns the O(n log n) argsort into one
-#: O(n + d log d) pass; the pure-numpy adaptive path runs the same
-#: algorithm as ~a dozen batched array passes, which on the 1-core
-#: container is memory-bound at roughly break-even with the full sort (its
-#: floor below guards that routing through the hint never regresses).
-MIN_ADAPTIVE_RANK_SPEEDUP = 1.5
-
-#: Acceptance bars for the displacement-bounded windowed route on a dense
-#: fluid day (every page jitters within a narrow rank band) at R=32/n=10k.
-#: The numpy leg's strided block-sort beats the full argsort by >= 1.15x
-#: (the bench-floor.json reference, gated with the shared 25% runner
-#: tolerance; the in-test hard assert pins "never loses" at 1.0 because
-#: the measured ~1.2-1.3x leaves too little margin for a shared runner's
-#: worst noise spikes).  The numba leg's fused bounded-insertion pass
-#: must hard-beat >= 1.4x.
-MIN_WINDOWED_RANK_SPEEDUP_NUMPY = 1.0
-MIN_WINDOWED_RANK_SPEEDUP_NUMBA = 1.4
-
-#: The acceptance shape for the adaptive-rank and blocked-tail benches:
-#: both effects are regime-dependent (the day tail's temporaries only
-#: leave cache at large R*n), so these two benches pin the ISSUE's
-#: R=32/n=10k point instead of scaling with REPRO_BENCH_SCALE.
-ADAPTIVE_BENCH_SHAPE = (32, 10_000)
+#: The blocked-tail bench's shape: the day tail's temporaries only leave
+#: cache at large R*n, so this bench pins R=32/n=10k instead of scaling
+#: with REPRO_BENCH_SCALE.
+BLOCKED_TAIL_SHAPE = (32, 10_000)
 
 
 def _shape():
@@ -363,143 +338,6 @@ def bench_feedback_flush():
     }
 
 
-def _near_sorted_fluid_day(rng, R, n):
-    """Yesterday's permutation plus today's drifted scores.
-
-    The drift mirrors what leaves a fluid day near-sorted: surviving pages
-    grow by a monotone map of their popularity (relative order preserved),
-    a small set of pages is promoted/demoted to fresh scores, and a few
-    lifecycle replacements reset to popularity zero.
-    """
-    scores_prev = rng.random((R, n))
-    prev_perm = np.argsort(-scores_prev, axis=1)
-    scores = scores_prev * 1.02
-    moved = max(4, n // 400)
-    for row in range(R):
-        hot = rng.choice(n, size=moved, replace=False)
-        scores[row, hot] = rng.random(moved)
-        scores[row, hot[: max(1, moved // 4)]] = 0.0
-    return scores, prev_perm
-
-
-def bench_adaptive_rank():
-    """Adaptive (prev_perm hint) vs full-argsort rank_day, with bit parity."""
-    backend = get_backend()
-    backend.warmup()
-    R, n = ADAPTIVE_BENCH_SHAPE
-    rng = np.random.default_rng(BENCH_SEED)
-    scores, prev_perm = _near_sorted_fluid_day(rng, R, n)
-
-    full = backend.rank_day(scores, None, "random", spawn_rngs(BENCH_SEED, R))
-    adaptive = backend.rank_day(
-        scores, None, "random", spawn_rngs(BENCH_SEED, R), prev_perm=prev_perm
-    )
-    parity = bool(np.array_equal(full, adaptive))
-
-    full_rngs = spawn_rngs(BENCH_SEED, R)
-    adaptive_rngs = spawn_rngs(BENCH_SEED, R)
-    full_seconds = _best_of(
-        lambda: backend.rank_day(scores, None, "random", full_rngs)
-    )
-    adaptive_seconds = _best_of(
-        lambda: backend.rank_day(
-            scores, None, "random", adaptive_rngs, prev_perm=prev_perm
-        )
-    )
-    return {
-        "kernel_backend": backend.name,
-        "replicates": float(R),
-        "n_pages": float(n),
-        "parity_bit_identical": 1.0 if parity else 0.0,
-        "adaptive_vs_full_rank_ratio": full_seconds / adaptive_seconds,
-    }
-
-
-def _dense_fluid_day(rng, R, n, scale=1e-4):
-    """The fluid steady state at density: everything jitters, nothing travels.
-
-    Unlike :func:`_near_sorted_fluid_day` (a few pages teleport, the rest
-    keep exact order — the run-merge route's regime), here *every* page
-    wiggles by a multiplicative jitter small enough that displacements stay
-    inside a narrow band of yesterday's rank.  This is the regime the
-    displacement-bounded windowed route exists for: too many breaks for the
-    run-merge heal, but a tight bound for the block/insertion sorts.
-
-    Ranks are scattered over a random page layout: near-sortedness lives in
-    *rank space* (reachable only through ``prev_perm``), never in raw column
-    order, exactly as in a real community — a tiled pre-sorted base would
-    hand the full-argsort baseline an O(n) nearly-sorted-input shortcut no
-    workload provides.
-    """
-    values = np.sort(rng.random(n))[::-1]
-    pages = rng.permutation(n)
-    scores_prev = np.empty((R, n))
-    scores_prev[:, pages] = values
-    prev_perm = np.argsort(-scores_prev, axis=1)
-    scores = scores_prev * (1.0 + rng.normal(0.0, scale, (R, n)))
-    return scores, prev_perm
-
-
-def bench_fluid_windowed_rank():
-    """Windowed-route rank_day vs full argsort on a dense fluid day.
-
-    Timed under the ``index`` tie breaker: fluid jitter leaves the keys
-    effectively unique, and the ``random`` breaker's per-day tie-key draw
-    adds the same ~milliseconds to *both* legs, diluting the route ratio
-    this bench exists to pin.
-    """
-    from repro.core.kernels.numpy_backend import ROUTE_STATS
-
-    backend = get_backend()
-    backend.warmup()
-    R, n = ADAPTIVE_BENCH_SHAPE
-    rng = np.random.default_rng(BENCH_SEED)
-    scores, prev_perm = _dense_fluid_day(rng, R, n)
-
-    full = backend.rank_day(scores, None, "index", spawn_rngs(BENCH_SEED, R))
-    ROUTE_STATS.reset()
-    adaptive = backend.rank_day(
-        scores, None, "index", spawn_rngs(BENCH_SEED, R), prev_perm=prev_perm
-    )
-    stats = ROUTE_STATS.as_dict()
-    parity = bool(np.array_equal(full, adaptive))
-
-    full_rngs = spawn_rngs(BENCH_SEED, R)
-    adaptive_rngs = spawn_rngs(BENCH_SEED, R)
-
-    def run_full():
-        backend.rank_day(scores, None, "index", full_rngs)
-
-    def run_adaptive():
-        backend.rank_day(
-            scores, None, "index", adaptive_rngs, prev_perm=prev_perm
-        )
-
-    # Interleave the two legs' repeats: a noisy-neighbor stall then hits
-    # both mins alike instead of sinking whichever leg it landed on, which
-    # is what lets the hard per-leg ratio bars below hold on a shared
-    # runner.
-    run_full()
-    run_adaptive()
-    full_seconds = adaptive_seconds = float("inf")
-    for _ in range(3 * REPEATS):
-        started = time.perf_counter()
-        run_full()
-        full_seconds = min(full_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        run_adaptive()
-        adaptive_seconds = min(adaptive_seconds, time.perf_counter() - started)
-    return {
-        "kernel_backend": backend.name,
-        "replicates": float(R),
-        "n_pages": float(n),
-        "parity_bit_identical": 1.0 if parity else 0.0,
-        "fluid_windowed_rank_ratio": full_seconds / adaptive_seconds,
-        "windowed_route_rows": float(stats["rank_route_windowed"]),
-        "windowed_displacement_max": float(stats["rank_displacement_max"]),
-    }
-
-
 def bench_blocked_tail():
     """Row-blocked numpy day tail vs the unblocked chain, with bit parity.
 
@@ -512,7 +350,7 @@ def bench_blocked_tail():
     from repro.core.kernels.numpy_backend import BACKEND as numpy_backend
 
     rng = np.random.default_rng(BENCH_SEED)
-    R, n = ADAPTIVE_BENCH_SHAPE
+    R, n = BLOCKED_TAIL_SHAPE
     rate, m = 25.0, 100
     attention = PowerLawAttention()
     quality = rng.random((R, n))
@@ -634,50 +472,6 @@ def test_bench_kernel_feedback_flush(benchmark):
     report = run_report_once(benchmark, bench_feedback_flush, KERNEL_INFO_KEYS)
     assert report["parity_bit_identical"] == 1.0
     assert report["speedup_feedback_flush_vs_perlane"] > 1.0
-
-
-def test_bench_kernel_adaptive_rank(benchmark):
-    """Adaptive rank_day: bit parity everywhere; >=1.5x on the numba leg.
-
-    The ISSUE's acceptance bar (>= 1.5x rank_day throughput on near-sorted
-    fluid days at R=32/n=10k) is met by the fused numba adaptive kernel
-    and asserted on the numba CI leg; the pure-numpy path runs the same
-    merge as batched array passes, which is memory-bound near break-even
-    on the 1-core container — its assert (and the gate floor) guards that
-    the hint never meaningfully regresses the numpy rank.
-    """
-    report = run_report_once(benchmark, bench_adaptive_rank, KERNEL_INFO_KEYS)
-    assert report["parity_bit_identical"] == 1.0
-    if report["kernel_backend"] == "numba":
-        assert report["adaptive_vs_full_rank_ratio"] >= MIN_ADAPTIVE_RANK_SPEEDUP
-    else:
-        assert report["adaptive_vs_full_rank_ratio"] > 0.5
-
-
-def test_bench_kernel_fluid_windowed_rank(benchmark):
-    """Windowed route: bit parity + the ISSUE's per-leg speedup bars.
-
-    The R=32/n=10k dense fluid day must take the windowed route on every
-    row (the bench is a specification of the regime, not just a timing),
-    stay bit-identical to the full sort, and beat it by >= 1.15x through
-    the numpy strided block-sort and >= 1.4x through the numba fused
-    bounded-insertion pass.  bench-floor.json gates the ratio in CI.
-    """
-    report = run_report_once(
-        benchmark, bench_fluid_windowed_rank, KERNEL_INFO_KEYS
-    )
-    assert report["parity_bit_identical"] == 1.0
-    assert report["windowed_route_rows"] == float(ADAPTIVE_BENCH_SHAPE[0])
-    if report["kernel_backend"] == "numba":
-        assert (
-            report["fluid_windowed_rank_ratio"]
-            >= MIN_WINDOWED_RANK_SPEEDUP_NUMBA
-        )
-    else:
-        assert (
-            report["fluid_windowed_rank_ratio"]
-            >= MIN_WINDOWED_RANK_SPEEDUP_NUMPY
-        )
 
 
 def test_bench_kernel_blocked_tail(benchmark):

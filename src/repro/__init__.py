@@ -8,17 +8,22 @@ steady-state model (Theorem 1 plus the fixed-point visit-rate solver), a
 discrete-time simulator, the live-study sandbox of Appendix A, and one
 experiment driver per figure of the paper.
 
-Quickstart::
+Quickstart — normalized QPC without and with selective promotion::
 
     from repro import (
         CommunityConfig, RankPromotionPolicy, SimulationConfig, measure_qpc,
     )
 
     community = CommunityConfig(n_pages=2_000, n_users=200)
-    policy = RankPromotionPolicy(rule="selective", k=1, r=0.1)
-    print(measure_qpc(community, policy, SimulationConfig(warmup_days=200,
-                                                          measure_days=200,
-                                                          mode="fluid")))
+    config = SimulationConfig(warmup_days=200, measure_days=200, mode="stochastic")
+    for rule in ("none", "selective"):
+        policy = RankPromotionPolicy(rule=rule, k=1, r=0.1)
+        result = measure_qpc(community, policy, config, repetitions=4, seed=0)
+        print(rule, round(result["qpc_normalized"], 3))
+
+In fluid mode most pages keep a fractional aware count below one user, so
+the selective pool covers most of the community and its QPC is not the
+paper's number; use stochastic mode to compare policies.
 
 Serving-path quickstart — answer a stream of queries online instead of
 re-ranking the whole community per simulated day.  The serving tier is
@@ -38,12 +43,10 @@ built from one frozen, JSON-round-trippable :class:`ServingConfig`::
     stats = run_stream(router, n_queries=10_000, workload=workload)
     print(stats.queries_per_second, stats.extra["cache_hit_rate"])
 
-(The historical ``ShardedRouter.from_community(...)`` classmethod remains
-as a thin shim over the same construction path.)  With
-``workers``/``tenants``/``clients`` set, ``build_pool(config)`` hosts many
-tenant communities behind a process-per-shard pool whose popularity
-arrays live in shared memory, so real concurrent writers race feedback
-commits through the OCC path.  Or from the terminal::
+With ``workers``/``tenants``/``clients`` set, ``build_pool(config)``
+hosts many tenant communities behind a process-per-shard pool whose
+popularity arrays live in shared memory, so real concurrent writers race
+feedback commits through the OCC path.  Or from the terminal::
 
     python -m repro serve-bench --pages 200000 --queries 5000 --shards 8
     python -m repro serve-bench --tenants 8 --clients 4 --workers 4

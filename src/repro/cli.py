@@ -232,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("selective", "uniform", "none"), default="selective",
         help="rank promotion policy to simulate",
     )
-    simulation.add_argument(
-        "--adaptive-rank", action="store_true",
-        help="rank each day from the previous day's order via the kernel "
-        "layer's near-sorted run merge (bit-identical to the full sort; "
-        "falls back automatically on days that are not near-sorted)",
-    )
 
     sweep = parser.add_argument_group("sweep-bench options")
     sweep.add_argument(
@@ -471,7 +465,6 @@ def run_sim_bench(args: argparse.Namespace) -> int:
         mode=args.sim_mode,
         seed=args.seed,
         n_workers=args.workers,
-        adaptive_rank=args.adaptive_rank,
         telemetry_window=args.telemetry_window,
         telemetry_out=args.telemetry_out,
     )

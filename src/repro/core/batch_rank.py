@@ -78,7 +78,6 @@ def batched_deterministic_order(
     ages: Optional[np.ndarray],
     tie_breaker: str,
     rngs: Sequence[np.random.Generator],
-    prev_perm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Batched equivalent of ``rankers._deterministic_order`` row by row.
 
@@ -90,18 +89,13 @@ def batched_deterministic_order(
         tie_breaker: one of ``TIE_BREAKERS``.
         rngs: one generator per row; consulted (one ``random(n)`` draw per
             row, same as the sequential path) only for ``"random"``.
-        prev_perm: optional ``(R, n)`` hint — each row's permutation from
-            the previous ranking of the same community.  On near-sorted
-            days the backend merges the surviving sorted runs instead of
-            re-sorting (falling back to the full sort otherwise); the
-            result is bit-identical either way.
 
     Returns:
         ``(R, n)`` permutations, each bit-identical to what
         ``_deterministic_order(scores[r], ages[r], tie_breaker, rngs[r])``
         would return.
     """
-    return get_backend().rank_day(scores, ages, tie_breaker, rngs, prev_perm=prev_perm)
+    return get_backend().rank_day(scores, ages, tie_breaker, rngs)
 
 
 def batched_merge_counts(

@@ -42,7 +42,6 @@ only deterministic array math is ever reimplemented.
 from __future__ import annotations
 
 import abc
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,75 +84,21 @@ def draw_tie_keys(
 
 
 class RankRouteStats:
-    """Cumulative per-row counters for the adaptive ``rank_day`` router.
+    """Per-row route counters of a ``rank_day`` router; all four stay zero.
 
-    One module-level instance (:data:`ROUTE_STATS`) is shared by every
-    backend: the numba backend updates the same object, so callers
-    (benches, :class:`~repro.simulation.batch.BatchSimulator` telemetry,
-    sweep resorts) sample route mix without caring which backend ran.
-    Counters only ever increase; callers snapshot before/after a region
-    and difference the totals.  ``displacement_sum``/``displacement_max``
-    track the estimated (numpy) or realized (numba) per-row displacement
-    bound of rows that took the windowed route.  Updates go through
-    :meth:`record` under one lock, because replicate blocks rank on
-    concurrent threads.
+    ``rank_day`` has one route, the full sort, and records nothing here.
+    The end-to-end benchmark still reads these four counters as its
+    ``kernels.route_*`` metrics, so the shared instance
+    (:data:`ROUTE_STATS`) stays importable until those metrics are dropped.
     """
 
-    __slots__ = (
-        "copy",
-        "run_merge",
-        "windowed",
-        "full",
-        "displacement_sum",
-        "displacement_max",
-        "_lock",
-    )
+    __slots__ = ("copy", "run_merge", "windowed", "full")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.reset()
-
-    def reset(self) -> None:
-        with self._lock:
-            self.copy = 0
-            self.run_merge = 0
-            self.windowed = 0
-            self.full = 0
-            self.displacement_sum = 0
-            self.displacement_max = 0
-
-    def record(
-        self,
-        copy: int = 0,
-        run_merge: int = 0,
-        windowed: int = 0,
-        full: int = 0,
-        displacement_sum: int = 0,
-        displacement_max: int = 0,
-    ) -> None:
-        """Add one ranking call's per-row route counts."""
-        with self._lock:
-            self.copy += copy
-            self.run_merge += run_merge
-            self.windowed += windowed
-            self.full += full
-            self.displacement_sum += displacement_sum
-            if displacement_max > self.displacement_max:
-                self.displacement_max = displacement_max
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "rank_route_copy": self.copy,
-                "rank_route_run_merge": self.run_merge,
-                "rank_route_windowed": self.windowed,
-                "rank_route_full": self.full,
-                "rank_displacement_sum": self.displacement_sum,
-                "rank_displacement_max": self.displacement_max,
-            }
+        self.copy = self.run_merge = self.windowed = self.full = 0
 
 
-#: The shared route-mix counter (see :class:`RankRouteStats`).
+#: The shared, always-zero route counters (see :class:`RankRouteStats`).
 ROUTE_STATS = RankRouteStats()
 
 
@@ -221,7 +166,6 @@ class KernelBackend(abc.ABC):
         ages: Optional[np.ndarray],
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
-        prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Batched descending order over ``(R, n)`` scores with exact ties.
 
@@ -229,27 +173,6 @@ class KernelBackend(abc.ABC):
         key (see ``repro.core.rankers._deterministic_order``) bit for bit,
         consuming ``rngs[r]`` via :func:`draw_tie_keys` when
         ``tie_breaker == "random"``.
-
-        ``prev_perm`` is an optional ``(R, n)`` permutation hint — row
-        ``r``'s ranking from the *previous* day.  Popularity drifts slowly
-        between days, so yesterday's order viewed under today's scores is
-        often a small number of sorted runs; a backend may then build the
-        new permutation by merging those runs instead of re-sorting from
-        scratch.  When the day is instead *densely* perturbed — too many
-        runs to merge, but every page displaced by at most ``d`` ranks (the
-        fluid steady state) — a backend may estimate ``d`` from the hint
-        and sort overlapping width-``2d`` windows along yesterday's order
-        (the displacement-bounded windowed route), verifying the bound
-        after the fact.  The hint never changes the result: the permutation
-        contract above is bit-identical with or without it (any sort order
-        within equal primary keys is normalized by the exact tie repair),
-        and a backend must fall back to the full sort whenever the hint is
-        not actually near-sorted or a row violates its displacement bound.
-        Tie-key draws are taken *before* the sort path is chosen, so RNG
-        consumption is hint-independent.  Route choices and realized
-        displacement bounds are accounted per row in
-        :data:`repro.core.kernels.api.ROUTE_STATS` (shared by all
-        backends).
         """
 
     @abc.abstractmethod

@@ -86,137 +86,6 @@ def _repair_tie_runs_nb(perm, sorted_keys, keys, use_keys):  # pragma: no cover
                 j += 1
 
 
-#: Route codes written by :func:`_rank_adaptive_nb`, matching the numpy
-#: router's four-way split (see ``NumpyKernelBackend._rank_adaptive``).
-ROUTE_COPY = 0
-ROUTE_RUN_MERGE = 1
-ROUTE_FULL = 2
-ROUTE_WINDOWED = 3
-
-
-@njit(cache=True, parallel=True)
-def _rank_adaptive_nb(negated, prev_perm, max_moved, max_shift, out, route, shifts):  # pragma: no cover
-    # The adaptive rank_day as one fused nest per row: detect run
-    # boundaries in yesterday's order under today's keys, extract the
-    # break-adjacent moved set, verify the remaining spine stayed sorted,
-    # and two-pointer-merge the sorted moved pages back in after their
-    # equal keys (the side="right" convention of the numpy reference).
-    # Rows that decline the run merge (too many boundaries, or a displaced
-    # block the extraction could not heal) try the displacement-bounded
-    # route instead: a bounded insertion pass along yesterday's order —
-    # the fused equivalent of the numpy backend's windowed block sorts —
-    # that aborts to the caller's batched argsort the moment any single
-    # insertion must shift further than ``max_shift``.  Unlike the numpy
-    # route the realized shift *is* the exact displacement, so no
-    # post-sort verification is needed; ``shifts[row]`` reports it.
-    R, n = negated.shape
-    for row in prange(R):
-        moved_mask = np.zeros(n, dtype=np.bool_)
-        break_count = 0
-        run_merge_ok = True
-        prev_key = negated[row, prev_perm[row, 0]]
-        for j in range(1, n):
-            key = negated[row, prev_perm[row, j]]
-            if key < prev_key:
-                break_count += 1
-                if 4 * break_count > max_moved:
-                    run_merge_ok = False
-                    break
-                # Two pages on each side of the boundary, like the numpy
-                # reference's moved window.
-                if j >= 2:
-                    moved_mask[j - 2] = True
-                moved_mask[j - 1] = True
-                moved_mask[j] = True
-                if j + 1 < n:
-                    moved_mask[j + 1] = True
-            prev_key = key
-        if break_count == 0:
-            for j in range(n):
-                out[row, j] = prev_perm[row, j]
-            route[row] = ROUTE_COPY
-            continue
-        healed = False
-        if run_merge_ok:
-            d = 0
-            for j in range(n):
-                if moved_mask[j]:
-                    d += 1
-            keep_count = n - d
-            keep_keys = np.empty(keep_count, dtype=np.float64)
-            keep_idx = np.empty(keep_count, dtype=np.int64)
-            moved_keys = np.empty(d, dtype=np.float64)
-            moved_idx = np.empty(d, dtype=np.int64)
-            keeps = 0
-            moves = 0
-            healed = True
-            last = -np.inf
-            for j in range(n):
-                page = prev_perm[row, j]
-                key = negated[row, page]
-                if moved_mask[j]:
-                    moved_keys[moves] = key
-                    moved_idx[moves] = page
-                    moves += 1
-                else:
-                    if key < last:
-                        healed = False  # a displaced block, not point moves
-                        break
-                    last = key
-                    keep_keys[keeps] = key
-                    keep_idx[keeps] = page
-                    keeps += 1
-            if healed:
-                order = np.argsort(moved_keys, kind="mergesort")
-                keep_at = 0
-                write = 0
-                for t in range(d):
-                    moved_key = moved_keys[order[t]]
-                    while keep_at < keep_count and keep_keys[keep_at] <= moved_key:
-                        out[row, write] = keep_idx[keep_at]
-                        write += 1
-                        keep_at += 1
-                    out[row, write] = moved_idx[order[t]]
-                    write += 1
-                while keep_at < keep_count:
-                    out[row, write] = keep_idx[keep_at]
-                    write += 1
-                    keep_at += 1
-                route[row] = ROUTE_RUN_MERGE
-                continue
-        # Displacement-bounded insertion along yesterday's order: the
-        # sorted prefix lives in (skeys, out[row]); each new page binary
-        # walks back at most max_shift slots.  Near-sorted fluid rows
-        # cost O(n * realized_shift); a bound violation aborts the row to
-        # the batched argsort before wasting more than it already has.
-        skeys = np.empty(n, dtype=np.float64)
-        bounded = True
-        max_seen = 0
-        for j in range(n):
-            page = prev_perm[row, j]
-            key = negated[row, page]
-            i = j
-            while i > 0 and skeys[i - 1] > key:
-                i -= 1
-                if j - i > max_shift:
-                    bounded = False
-                    break
-            if not bounded:
-                break
-            for t in range(j, i, -1):
-                skeys[t] = skeys[t - 1]
-                out[row, t] = out[row, t - 1]
-            skeys[i] = key
-            out[row, i] = page
-            if j - i > max_seen:
-                max_seen = j - i
-        if bounded:
-            route[row] = ROUTE_WINDOWED
-            shifts[row] = max_seen
-        else:
-            route[row] = ROUTE_FULL
-
-
 @njit(cache=True, parallel=True)
 def _partition_by_mask_nb(perms, mask_by_rank, n_promoted, out):  # pragma: no cover
     R, n = perms.shape
@@ -375,48 +244,6 @@ class NumbaKernelBackend(NumpyKernelBackend):
         else:
             keys, use_keys = np.zeros((0, 0), dtype=np.float64), False
         _repair_tie_runs_nb(perm, sorted_keys, keys, use_keys)
-
-    # ------------------------------------------------- rank_day (adaptive)
-
-    def _rank_adaptive(self, negated, prev_perm):
-        # One fused nest per row (run detection, moved-set extraction,
-        # spine check, two-pointer re-insertion merge, displacement-
-        # bounded insertion) instead of the reference's batched passes;
-        # rows the kernel routes to ``full`` fall back to the same
-        # batched argsort.  The tie repair normalizes any within-tie
-        # differences, so the result remains bit-identical.  The bounded
-        # insertion route is exact by construction (the bound is checked
-        # on every shift, not estimated), so no verify rows are returned.
-        from repro.core.kernels.api import ROUTE_STATS
-        from repro.core.kernels.numpy_backend import ADAPTIVE_MAX_MOVED_FRACTION
-
-        R, n = negated.shape
-        out = np.empty((R, n), dtype=np.int64)
-        route = np.zeros(R, dtype=np.int8)
-        shifts = np.zeros(R, dtype=np.int64)
-        _rank_adaptive_nb(
-            np.ascontiguousarray(negated, dtype=np.float64),
-            np.ascontiguousarray(prev_perm, dtype=np.int64),
-            max(4, int(n * ADAPTIVE_MAX_MOVED_FRACTION)),
-            n // 8,  # same cutoff as the numpy route's 2d > n/4
-            out,
-            route,
-            shifts,
-        )
-        counts = np.bincount(route, minlength=4)
-        windowed = route == ROUTE_WINDOWED
-        ROUTE_STATS.record(
-            copy=int(counts[ROUTE_COPY]),
-            run_merge=int(counts[ROUTE_RUN_MERGE]),
-            windowed=int(counts[ROUTE_WINDOWED]),
-            full=int(counts[ROUTE_FULL]),
-            displacement_sum=int(shifts[windowed].sum()),
-            displacement_max=int(shifts[windowed].max(initial=0)),
-        )
-        if counts[ROUTE_FULL]:
-            rows = np.flatnonzero(route == ROUTE_FULL)
-            out[rows] = np.argsort(negated[rows], axis=1)
-        return out, None
 
     # ---------------------------------------------------- promotion_merge
 
@@ -591,23 +418,6 @@ class NumbaKernelBackend(NumpyKernelBackend):
         ages = np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 1.0]])
         for tie_breaker, age_arg in (("random", None), ("age", ages), ("index", None)):
             self.rank_day(scores, age_arg, tie_breaker, rngs)
-        # prev_perm hint: row 1 has one break with one moved page, which
-        # compiles the adaptive re-insertion kernel.
-        self.rank_day(
-            scores, None, "index", rngs,
-            prev_perm=np.arange(3)[None, :].repeat(2, axis=0),
-        )
-        # Adjacent swaps on a descending base: one break per pair defeats
-        # the run merge, while every insertion shifts one slot — exercises
-        # the displacement-bounded route of the same kernel.
-        swapped = np.arange(32, dtype=float)[::-1].copy()
-        even = swapped[0::2].copy()
-        swapped[0::2] = swapped[1::2]
-        swapped[1::2] = even
-        self.rank_day(
-            np.tile(swapped, (2, 1)), None, "index", rngs,
-            prev_perm=np.arange(32)[None, :].repeat(2, axis=0),
-        )
         perms = np.argsort(-scores, axis=1)
         mask = np.array([[True, False, True], [False, True, False]])
         self.promotion_merge(perms, mask, 1, 0.5, rngs)

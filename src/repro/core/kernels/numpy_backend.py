@@ -19,14 +19,12 @@ overridden.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.community.page import awareness_gain_batch
 from repro.core.kernels.api import (
-    ROUTE_STATS,
     KernelBackend,
     check_tie_breaker,
     draw_tie_keys,
@@ -35,49 +33,12 @@ from repro.core.kernels.api import (
 from repro.utils.validation import check_probability
 from repro.visits.allocation import allocate_monitored_visits_batch
 
-#: Adaptive ``rank_day`` threshold (see :meth:`NumpyKernelBackend.rank_day`).
-#: A row is treated as near-sorted when its break-adjacent moved set — at
-#: most four pages per detected run boundary (two each side) — is no more
-#: than ``n * ADAPTIVE_MAX_MOVED_FRACTION`` pages; beyond that the
-#: O(n + d log d) re-insertion merge stops beating the O(n log n) full
-#: sort and the row falls back to ``argsort``.
-ADAPTIVE_MAX_MOVED_FRACTION = 0.125
-
-#: Row-block size of the adaptive analysis, in elements: the re-insertion
-#: pipeline runs ~12 elementwise passes over (rows, n) temporaries, so the
-#: rows are processed in blocks of ~64k elements (512 KB of float64) to
-#: keep every temporary cache-resident — the same row-blocking argument as
-#: :data:`DAY_TAIL_BLOCK_ROWS`, sized by elements because ``n`` varies.
-ADAPTIVE_BLOCK_ELEMENTS = 65536
-
 #: Row-block height of the fluid day tail.  The unfused ``(R, n)`` tail
 #: streams ~R*n*8-byte temporaries through L2 between every elementwise
 #: pass; processing 8 rows per block keeps each temporary L1/L2-resident
 #: while the passes stay full-width ufunc calls (the ROADMAP's row-blocked
 #: day tail).
 DAY_TAIL_BLOCK_ROWS = 8
-
-#: Number of probe positions the windowed-route displacement estimator
-#: samples per row.  The estimate costs one prefix-max pass plus one
-#: vectorized comparison per power-of-two gap — negligible next to
-#: either sort route — and its resolution is ``n / probes`` elements,
-#: which lower-bounds the window radius the route can pick.  The probe
-#: only *lower*-bounds the true maximum displacement (unprobed positions
-#: may move further); the gap-doubling slack plus the power-of-two
-#: round-up make the window wide enough in practice, and the post-sort
-#: verification catches any row the estimate still undershoots.
-ADAPTIVE_WINDOW_PROBES = 512
-
-#: Smallest window radius the windowed route will use.  Below this the
-#: per-pass reshape/argsort overhead dominates and the route cannot beat
-#: a plain copy-or-merge anyway.
-ADAPTIVE_WINDOW_MIN = 8
-
-
-#: Thread-local packed-key buffer of the windowed sort
-#: (:meth:`NumpyKernelBackend._windowed_sort_rows`): reused across days so
-#: the route does not fault in a fresh ~(rows, n) arena every call.
-_WINDOWED_SCRATCH = threading.local()
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -93,7 +54,6 @@ class NumpyKernelBackend(KernelBackend):
         ages: Optional[np.ndarray],
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
-        prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         from repro.core.batch_rank import _flat_take
 
@@ -101,8 +61,6 @@ class NumpyKernelBackend(KernelBackend):
         R, n = scores.shape
         tie_keys = None
         if tie_breaker == "random":
-            # Drawn before the sort path is chosen: RNG consumption must not
-            # depend on whether the adaptive hint is taken (parity contract).
             tie_keys = draw_tie_keys(rngs, (R, n))
         elif tie_breaker == "age":
             if ages is None:
@@ -118,348 +76,10 @@ class NumpyKernelBackend(KernelBackend):
             check_tie_breaker(tie_breaker)
 
         negated = -scores
-        verify_rows = None
-        if prev_perm is not None and n > 0:
-            prev_perm = np.asarray(prev_perm)
-            if prev_perm.shape != (R, n):
-                raise ValueError(
-                    "prev_perm must have shape (%d, %d), got %s"
-                    % (R, n, prev_perm.shape)
-                )
-            perm, verify_rows = self._rank_adaptive(negated, prev_perm)
-        else:
-            perm = np.argsort(negated, axis=1)  # unstable quicksort: ties repaired below
+        perm = np.argsort(negated, axis=1)  # unstable quicksort: ties repaired below
         sorted_keys = _flat_take(negated, perm)
-        if verify_rows is not None and verify_rows.size:
-            # The windowed route's overlap-consistency check, folded onto
-            # the sorted-key gather every route pays anyway: a row whose
-            # displacement bound was violated is not nondecreasing here
-            # and is re-sorted exactly, so the estimate only ever affects
-            # speed, never the result.
-            if verify_rows.size == perm.shape[0]:
-                checked = sorted_keys  # all rows windowed: skip the gather
-            else:
-                checked = sorted_keys[verify_rows]
-            bad = verify_rows[np.any(checked[:, 1:] < checked[:, :-1], axis=1)]
-            if bad.size:
-                ROUTE_STATS.record(windowed=-bad.size, full=bad.size)
-                perm[bad] = np.argsort(negated[bad], axis=1)
-                sorted_keys[bad] = np.take_along_axis(
-                    negated[bad], perm[bad], axis=1
-                )
         self._repair_tie_runs(perm, sorted_keys, tie_breaker, tie_keys, ages)
         return perm
-
-    # ----------------------------------------------- rank_day (adaptive)
-
-    def _rank_adaptive(
-        self, negated: np.ndarray, prev_perm: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Sort each row by merging yesterday's order where it survived.
-
-        Yesterday's permutation viewed under today's keys decomposes into
-        maximal nondecreasing runs (ties never break a run — the exact tie
-        repair afterwards normalizes them anyway).  Rows split four ways,
-        each handled batched across the rows that take it:
-
-        * no run boundary — yesterday's order is already sorted, copy it;
-        * few boundaries — extract the *moved set* (the two pages adjacent
-          to every boundary), verify that the remaining spine is one
-          sorted run, and binary-merge the sorted moved pages back into it
-          (:meth:`_reinsert_moved`, O(n + d log d));
-        * many boundaries but a small probed displacement bound ``d`` —
-          the fluid steady-state shape: sort width-``2d`` windows along
-          yesterday's order (:meth:`_rank_displaced`, O(n log d));
-        * everything else — the day is not near-sorted: full ``argsort``.
-
-        Every path produces *a* permutation sorted by the primary key,
-        which is all the tie repair needs to make the result bit-identical
-        to the full-sort path.  Returns ``(perm, verify_rows)``:
-        ``verify_rows`` (possibly ``None``) lists the rows that took the
-        windowed route, whose estimated bound the caller must verify
-        against the sorted keys it gathers anyway.
-        """
-        from repro.core.batch_rank import _flat_take
-
-        R, n = negated.shape
-        prev_keys = _flat_take(negated, prev_perm)
-        breaks = prev_keys[:, 1:] < prev_keys[:, :-1]
-        break_counts = breaks.sum(axis=1)
-        max_moved = max(4, int(n * ADAPTIVE_MAX_MOVED_FRACTION))
-        sorted_rows = break_counts == 0
-        candidate = ~sorted_rows & (4 * break_counts <= max_moved)
-        displaced = ~sorted_rows & ~candidate
-        # Uniform days skip the per-subset gathers: every row sorted
-        # (quiet day), or every row churned (the fluid steady state —
-        # the whole batch goes to the displacement-bounded route in one
-        # call, full width: its window sorts are cache-local by
-        # construction, so it needs no row blocking).
-        if sorted_rows.all():
-            ROUTE_STATS.record(copy=R)
-            return prev_perm.copy(), None
-        if displaced.all():
-            return self._rank_displaced(negated, prev_keys, prev_perm)
-        perm = np.empty((R, n), dtype=prev_perm.dtype)
-        if sorted_rows.any():
-            ROUTE_STATS.record(copy=int(sorted_rows.sum()))
-            perm[sorted_rows] = prev_perm[sorted_rows]
-        if candidate.any():
-            # The re-insertion analysis is ~12 elementwise passes over
-            # (rows, n) temporaries; cache-sized row blocks
-            # (:data:`ADAPTIVE_BLOCK_ELEMENTS`) keep them resident.
-            rows = np.flatnonzero(candidate)
-            block = max(1, ADAPTIVE_BLOCK_ELEMENTS // max(1, n))
-            for lo in range(0, rows.size, block):
-                sub = rows[lo:lo + block]
-                merged, healed = self._reinsert_moved(
-                    prev_keys[sub], prev_perm[sub], breaks[sub]
-                )
-                ROUTE_STATS.record(run_merge=int(healed.sum()))
-                perm[sub[healed]] = merged[healed]
-                if not healed.all():
-                    displaced[sub[~healed]] = True
-        verify_rows = None
-        if displaced.any():
-            rows = np.flatnonzero(displaced)
-            perm[rows], verify = self._rank_displaced(
-                negated[rows], prev_keys[rows], prev_perm[rows]
-            )
-            if verify is not None:
-                verify_rows = rows[verify]
-        return perm, verify_rows
-
-    def _rank_displaced(
-        self, negated: np.ndarray, prev_keys: np.ndarray, prev_perm: np.ndarray
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Displacement-bounded windowed sort of rows that declined run-merge.
-
-        Fluid steady-state days defeat run-merging (thousands of run
-        boundaries from near-tied tail churn) yet displace each page only
-        a short distance.  For such rows a probe lower-bounds the maximum
-        displacement ``d`` (:meth:`_estimate_displacement`), and two
-        offset passes of disjoint width-``2d`` block sorts along
-        yesterday's order fully sort any ``d``-displaced row
-        (:meth:`_windowed_sort_rows`) in O(n log d) instead of
-        O(n log n).  Rows whose estimate exceeds the ``2d > n/4`` cutoff
-        take the full argsort instead; rows the estimate undershoots are
-        caught by the caller's sorted-key verification and re-sorted — so
-        the route is exact regardless of estimate quality, and the tie
-        repair downstream makes it bit-identical to every other route.
-
-        ``prev_keys`` are the float keys in yesterday's order.  Returns
-        ``(perm, verify_rows)`` with ``verify_rows`` the (local) rows
-        that took the windowed route.
-        """
-        L, n = negated.shape
-        estimates = self._estimate_displacement(prev_keys)
-        full_rows: List[int] = []
-        buckets: dict = {}
-        for i in range(L):
-            d = max(ADAPTIVE_WINDOW_MIN, int(estimates[i]))
-            d = 1 << (d - 1).bit_length()  # bucket rows by power-of-two radius
-            if 2 * d > n // 4:
-                full_rows.append(i)
-            else:
-                buckets.setdefault(d, []).append(i)
-        if len(buckets) == 1 and not full_rows:
-            # The fluid steady-state fast path: one shared bound, no
-            # per-subset gathers.
-            (d, row_list), = buckets.items()
-            perm = self._windowed_sort_rows(prev_keys, prev_perm, d)
-            ROUTE_STATS.record(windowed=L, displacement_sum=L * d, displacement_max=d)
-            return perm, np.arange(L, dtype=np.int64)
-        perm = np.empty((L, n), dtype=prev_perm.dtype)
-        windowed: List[int] = []
-        for d, row_list in buckets.items():
-            rows = np.asarray(row_list, dtype=np.int64)
-            perm[rows] = self._windowed_sort_rows(
-                prev_keys[rows], prev_perm[rows], d
-            )
-            windowed.extend(row_list)
-            ROUTE_STATS.record(
-                windowed=rows.size,
-                displacement_sum=int(rows.size) * d,
-                displacement_max=d,
-            )
-        if full_rows:
-            rows = np.asarray(full_rows, dtype=np.int64)
-            perm[rows] = np.argsort(negated[rows], axis=1)
-            ROUTE_STATS.record(full=rows.size)
-        verify_rows = (
-            np.asarray(sorted(windowed), dtype=np.int64) if windowed else None
-        )
-        return perm, verify_rows
-
-    def _estimate_displacement(self, prev_keys: np.ndarray) -> np.ndarray:
-        """Probe each row's maximum inversion span over a sparse sample.
-
-        Over every ``stride``-th key, an inversion of gap ``g`` samples —
-        ``sampled[i] < max(sampled[:i-g+1])`` — means some element must
-        cross ``>= g`` whole strides when the row is sorted.  Gaps are
-        probed at powers of two with one vectorized comparison per gap:
-        a violation at gap ``2g`` implies one at gap ``g`` (the prefix
-        max only grows), so the scan stops at the first gap no row
-        violates.  The returned per-row bound ``(2*g_max + 1) * stride``
-        covers the span such an inversion demands plus a stride of slack
-        on each side for structure the sample cannot see; the caller's
-        sorted-key verification covers everything else — the estimate
-        only ever costs speed, never the result.
-        """
-        L, n = prev_keys.shape
-        stride = max(1, n // ADAPTIVE_WINDOW_PROBES)
-        sampled = np.ascontiguousarray(prev_keys[:, ::stride])
-        prefix_max = np.maximum.accumulate(sampled, axis=1)
-        m = sampled.shape[1]
-        g_max = np.zeros(L, dtype=np.int64)
-        g = 1
-        while g < m:
-            viol = (sampled[:, g:] < prefix_max[:, :-g]).any(axis=1)
-            if not viol.any():
-                break
-            g_max[viol] = g
-            g *= 2
-        return (2 * g_max + 1) * stride
-
-    def _windowed_sort_rows(
-        self, prev_keys: np.ndarray, prev_perm: np.ndarray, d: int
-    ) -> np.ndarray:
-        """Sort ``d``-displaced rows by two offset passes of width-``2d`` blocks.
-
-        Pass one sorts disjoint width-``2d`` blocks along yesterday's
-        order; pass two repeats shifted by ``d``, so the two passes'
-        blocks overlap by ``d`` — after which every element displaced by
-        at most ``d`` has reached its sorted position (an element can
-        cross at most one block seam per pass, and the seams of the two
-        passes are ``d`` apart).  The float keys are unfolded in place
-        into order-preserving int64 (sign-magnitude unfold: ``k1 < k2``
-        as floats iff ``ikey1 < ikey2`` as signed ints) with the
-        element's page id packed into the low bits, so pass one is a
-        plain SIMD ``np.sort``, pass two a stable sort whose timsort
-        merge gallops through each block's two already-sorted halves, no
-        index gathers anywhere — masking the low bits *is* the
-        permutation.  The packing truncates the key's lowest
-        ``bit_length(n)`` mantissa bits; any mis-order that truncation
-        (or a violated bound) lets through is caught by the caller's
-        exact sorted-key verification.  Tail blocks are padded with
-        int64-max sentinels, which sort to the very end, past every real
-        element (page ids never fill the truncated field).
-        """
-        L, n = prev_keys.shape
-        w = 2 * d
-        pos_bits = int(n).bit_length()
-        # Scratch reuse: a fresh ~(L, n) buffer every call would fault in
-        # new pages each day (the dominant cost at the bench shape).
-        scratch = getattr(_WINDOWED_SCRATCH, "slot", None)
-        if scratch is None or scratch.shape[0] < L or scratch.shape[1] < n + w:
-            scratch = np.empty((L, n + w), dtype=np.int64)
-            _WINDOWED_SCRATCH.slot = scratch
-        packed = scratch[:L, : n + w]
-        packed[:, n:] = np.iinfo(np.int64).max
-        fbits = np.ascontiguousarray(prev_keys).view(np.int64)
-        pk = packed[:, :n]
-        # ikey = fbits ^ ((fbits >> 63) & int64_max), built with in-place
-        # passes over the scratch (no fresh (L, n) temporaries to fault).
-        np.right_shift(fbits, 63, out=pk)
-        pk &= np.int64(np.iinfo(np.int64).max)
-        pk ^= fbits
-        pk &= np.int64(~((1 << pos_bits) - 1))
-        pk |= prev_perm
-        row_stride, item_stride = packed.strides
-        for offset, kind in ((0, "quicksort"), (d, "stable")):
-            # In-place block view: a plain reshape of the offset slice
-            # would copy (the rows are strided), and sorting the copy
-            # silently discards the pass.
-            blocks = np.lib.stride_tricks.as_strided(
-                packed[:, offset:],
-                shape=(L, (n - offset + w - 1) // w, w),
-                strides=(row_stride, w * item_stride, item_stride),
-            )
-            blocks.sort(axis=2, kind=kind)
-        perm = pk & ((1 << pos_bits) - 1)
-        return perm.astype(prev_perm.dtype, copy=False)
-
-    def _reinsert_moved(
-        self, keys: np.ndarray, prev: np.ndarray, breaks: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Targeted re-insertion of moved pages, batched over ``L`` rows.
-
-        The moved set is the two pages on each side of every run boundary:
-        a page whose score crossed its neighbours produces a boundary on
-        each side, so the window covers it (plus a few innocent
-        neighbours, and re-inserting an innocent page is harmless — it
-        merges straight back to its slot).  The remaining pages are the
-        *spine*; extraction, spine check and merge scatters all run as
-        flat row-major array passes over every row at once, with only the
-        tiny per-row moved sort + binary search in a Python loop.
-
-        Returns ``(merged, healed)``: rows whose spine was *not* left
-        sorted by the extraction (``healed[i] == False`` — e.g. an entire
-        block of pages displaced together) carry garbage in ``merged`` and
-        must be re-sorted by the caller instead.
-        """
-        L, n = keys.shape
-        moved_mask = np.zeros((L, n), dtype=bool)
-        moved_mask[:, :-1] = breaks
-        moved_mask[:, 1:] |= breaks
-        if n > 2:
-            moved_mask[:, :-2] |= breaks[:, 1:]
-            moved_mask[:, 2:] |= breaks[:, :-1]
-        keep_mask = ~moved_mask
-        keep_keys = keys[keep_mask]  # flat, row-major: per-row segments
-        keep_idx = prev[keep_mask]
-        flat_moved = np.flatnonzero(moved_mask.ravel())
-        moved_keys = keys.ravel()[flat_moved]
-        moved_idx = prev.ravel()[flat_moved]
-        row_of = flat_moved // n
-        d_counts = np.bincount(row_of, minlength=L)
-        moved_offsets = np.zeros(L + 1, dtype=np.int64)
-        np.cumsum(d_counts, out=moved_offsets[1:])
-        keep_offsets = np.zeros(L + 1, dtype=np.int64)
-        np.cumsum(n - d_counts, out=keep_offsets[1:])
-        # Spine check: nondecreasing inside every row segment.  Offenders
-        # are rare, so locate the descents and map them to rows.
-        falls = np.flatnonzero(keep_keys[1:] < keep_keys[:-1]) + 1
-        falls = falls[~np.isin(falls, keep_offsets[1:-1])]  # row seams
-        healed = np.ones(L, dtype=bool)
-        if falls.size:
-            healed[np.searchsorted(keep_offsets[1:], falls, side="right")] = False
-        # Sort every row's moved keys in one padded (L, d) argsort: pads
-        # are the key dtype's maximum, so they stay in the trailing
-        # columns (the keys are int64-unfolded floats; see
-        # :meth:`_rank_adaptive`).
-        d_max = int(d_counts.max())
-        within = np.arange(flat_moved.size, dtype=np.int64) - moved_offsets[row_of]
-        if np.issubdtype(keys.dtype, np.integer):
-            pad_value = np.iinfo(keys.dtype).max
-        else:
-            pad_value = np.inf
-        keys_matrix = np.full((L, d_max), pad_value, dtype=keys.dtype)
-        keys_matrix[row_of, within] = moved_keys
-        idx_matrix = np.zeros((L, d_max), dtype=prev.dtype)
-        idx_matrix[row_of, within] = moved_idx
-        order = np.argsort(keys_matrix, axis=1)
-        keys_matrix = np.take_along_axis(keys_matrix, order, axis=1)
-        idx_matrix = np.take_along_axis(idx_matrix, order, axis=1)
-        positions = np.zeros((L, d_max), dtype=np.int64)
-        for row in range(L):  # np.searchsorted is one-dimensional
-            if healed[row]:
-                positions[row] = np.searchsorted(
-                    keep_keys[keep_offsets[row]:keep_offsets[row + 1]],
-                    keys_matrix[row],
-                    side="right",
-                )
-        # The nondecreasing-positions slot algebra of merge_repair, one
-        # flat scatter per matrix: slot = position + insertions before it.
-        # Pad columns (and unhealed rows, whose positions stay zero) never
-        # collide because only the leading d_counts[row] columns scatter.
-        real = np.arange(d_max, dtype=np.int64)[None, :] < d_counts[:, None]
-        slots = (positions + np.arange(d_max, dtype=np.int64)[None, :])[real]
-        merged = np.empty((L, n), dtype=prev.dtype)
-        spine_mask = np.ones((L, n), dtype=bool)
-        spine_mask[row_of, slots] = False
-        merged[row_of, slots] = idx_matrix[real]
-        merged[spine_mask] = keep_idx
-        return merged, healed
 
     def _repair_tie_runs(
         self,
@@ -818,5 +438,4 @@ __all__ = [
     "NumpyKernelBackend",
     "BACKEND",
     "merge_repair",
-    "ROUTE_STATS",
 ]

@@ -138,12 +138,9 @@ class PopularityRanker(Ranker):
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
         ages = context.ages if self.tie_breaker == "age" else None
-        orders = batched_deterministic_order(
-            context.popularity, ages, self.tie_breaker, rngs,
-            prev_perm=context.prev_order,
+        return batched_deterministic_order(
+            context.popularity, ages, self.tie_breaker, rngs
         )
-        context.deterministic_order = orders
-        return orders
 
     def describe(self) -> str:
         return "No randomization"
@@ -200,10 +197,8 @@ class RandomizedPromotionRanker(Ranker):
             raise ValueError("promotion rule returned a mask of the wrong shape")
         ages = context.ages if self.tie_breaker == "age" else None
         orders = batched_deterministic_order(
-            context.popularity, ages, self.tie_breaker, rngs,
-            prev_perm=context.prev_order,
+            context.popularity, ages, self.tie_breaker, rngs
         )
-        context.deterministic_order = orders
         if self.r == 0.0:
             return orders
         return batched_promotion_merge(orders, promoted_mask, self.k, self.r, rngs)
@@ -246,11 +241,7 @@ class QualityOracleRanker(Ranker):
     ) -> np.ndarray:
         if context.quality is None:
             raise ValueError("QualityOracleRanker requires quality in the context")
-        orders = batched_deterministic_order(
-            context.quality, None, "index", rngs, prev_perm=context.prev_order
-        )
-        context.deterministic_order = orders
-        return orders
+        return batched_deterministic_order(context.quality, None, "index", rngs)
 
     def describe(self) -> str:
         return "Quality oracle"

@@ -85,15 +85,6 @@ class BatchRankingContext:
     ``popularity_history`` is, when present, a ``(history_length, R, n)``
     array of recent popularity snapshots (newest last), sliced per row for
     the fallback path.
-
-    ``prev_order`` is an optional ``(R, n)`` adaptive-ranking hint: each
-    row's *deterministic* permutation from the previous day of the same
-    community.  Built-in rankers pass it through to the kernel layer's
-    ``rank_day`` (which merges surviving sorted runs on near-sorted days
-    and falls back to the full sort otherwise — bit-identical either way)
-    and record the deterministic order they computed on
-    ``deterministic_order``, so a day-stepping caller can chain hints from
-    step to step.  Custom rankers may ignore both attributes freely.
     """
 
     def __init__(
@@ -105,7 +96,6 @@ class BatchRankingContext:
         now: float = 0.0,
         popularity_history: Optional[np.ndarray] = None,
         monitored_population: Optional[int] = None,
-        prev_order: Optional[np.ndarray] = None,
     ) -> None:
         self.popularity = np.asarray(popularity, dtype=float)
         self.awareness = np.asarray(awareness, dtype=float)
@@ -116,10 +106,6 @@ class BatchRankingContext:
         self.now = float(now)
         self.popularity_history = popularity_history
         self.monitored_population = monitored_population
-        self.prev_order = prev_order
-        #: Set by built-in rankers after ranking: the deterministic order
-        #: they produced, usable as the next day's ``prev_order`` hint.
-        self.deterministic_order: Optional[np.ndarray] = None
         self._ages: Optional[np.ndarray] = None
 
     @property
@@ -155,7 +141,7 @@ class BatchRankingContext:
 
     @classmethod
     def from_batch_pool(
-        cls, pool, now: float = 0.0, popularity_history=None, prev_order=None
+        cls, pool, now: float = 0.0, popularity_history=None
     ) -> "BatchRankingContext":
         """Build a batch context from a :class:`~repro.community.BatchPagePool`."""
         awareness = pool.awareness  # one (R, n) pass, reused for popularity
@@ -167,7 +153,6 @@ class BatchRankingContext:
             now=now,
             popularity_history=popularity_history,
             monitored_population=pool.monitored_population,
-            prev_order=prev_order,
         )
 
 

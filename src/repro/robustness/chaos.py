@@ -30,13 +30,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.community.config import DEFAULT_COMMUNITY
 from repro.core.kernels import get_backend, use_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.robustness.faults import FaultEvent, FaultPlan, LoadShedError
 from repro.robustness.journal import state_digest
 from repro.robustness.occ import FlushReport, RetryPolicy
 from repro.serving.bench import seed_steady_state_awareness
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.router import ShardedRouter
 from repro.serving.workload import RecordedTrace, StreamingWorkload, WorkloadConfig, record_trace
 from repro.utils.rng import derive_seed
@@ -186,18 +186,17 @@ def run_chaos_benchmark(
         day_every = max(flush_every, n_queries // 4)
     if plan is None:
         plan = pinned_fault_plan(n_queries, n_shards, flush_every)
-    community = DEFAULT_COMMUNITY.scaled(n_pages)
+    config = ServingConfig(
+        n_pages=n_pages,
+        n_shards=n_shards,
+        mode=mode,
+        cache_capacity=cache_capacity,
+        staleness_budget=staleness_budget,
+        seed=seed,
+    )
 
-    def build_router() -> ShardedRouter:
-        router = ShardedRouter.from_community(
-            community,
-            policy,
-            n_shards=n_shards,
-            mode=mode,
-            cache_capacity=cache_capacity,
-            staleness_budget=staleness_budget,
-            seed=seed,
-        )
+    def fresh_router() -> ShardedRouter:
+        router = build_router(config, policy=policy)
         seed_steady_state_awareness(router, rng=derive_seed(seed, "serving-warm"))
         return router
 
@@ -231,14 +230,14 @@ def run_chaos_benchmark(
             # A lifecycle day is a journaled mutation too; recovery restores
             # through the last day boundary as well as the last flush.
             prefix = max(prefix, (before // day_every) * day_every)
-        reference = build_router()
+        reference = fresh_router()
         replay_chaos_trace(reference, trace, k, limit=prefix, final_flush=False)
         clean_digests[first_crash.shard] = state_digest(
             reference.engines[first_crash.shard].state,
             reference.engines[first_crash.shard].day,
         )
 
-    router = build_router()
+    router = fresh_router()
     recorder = None
     if telemetry_window is not None or telemetry_out is not None:
         from repro.telemetry import DEFAULT_WINDOW, NULL_RECORDER, TelemetryRecorder

@@ -20,6 +20,7 @@ from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
 from repro.core.kernels import get_backend, use_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.core.rankers_context import RankingContext
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.router import ShardedRouter
 from repro.serving.workload import StreamingWorkload, WorkloadConfig, run_stream
 from repro.utils.rng import RandomSource, as_rng, derive_seed
@@ -120,13 +121,15 @@ def run_serving_benchmark(
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
     community = DEFAULT_COMMUNITY.scaled(n_pages)
-    router = ShardedRouter.from_community(
-        community,
-        policy,
-        n_shards=n_shards,
-        cache_capacity=cache_capacity,
-        staleness_budget=staleness_budget,
-        seed=seed,
+    router = build_router(
+        ServingConfig(
+            n_pages=n_pages,
+            n_shards=n_shards,
+            cache_capacity=cache_capacity,
+            staleness_budget=staleness_budget,
+            seed=seed,
+        ),
+        policy=policy,
     )
     seed_steady_state_awareness(router, rng=derive_seed(seed, "serving-warm"))
     workload = StreamingWorkload(
@@ -225,17 +228,16 @@ def measure_telemetry_overhead(
 
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
-    community = DEFAULT_COMMUNITY.scaled(n_pages)
+    config = ServingConfig(
+        n_pages=n_pages,
+        n_shards=n_shards,
+        cache_capacity=cache_capacity,
+        staleness_budget=staleness_budget,
+        seed=seed,
+    )
 
     def build() -> tuple:
-        router = ShardedRouter.from_community(
-            community,
-            policy,
-            n_shards=n_shards,
-            cache_capacity=cache_capacity,
-            staleness_budget=staleness_budget,
-            seed=seed,
-        )
+        router = build_router(config, policy=policy)
         seed_steady_state_awareness(router, rng=derive_seed(seed, "serving-warm"))
         workload = StreamingWorkload(
             WorkloadConfig(

@@ -1,20 +1,13 @@
 """One frozen construction surface for the serving tier.
 
-The serving stack historically grew three parallel construction idioms:
-``ShardedRouter.from_community(...)`` with six keyword knobs, post-hoc
-``router.telemetry = recorder`` attribute assignment, and a separate
-``enable_robustness(retry=..., seed=...)`` call.  The multi-tenant
-process pool forces the issue — a configuration must cross process
-boundaries, so it has to be *data*.  :class:`ServingConfig` is that
-data: a frozen, JSON-round-trippable dataclass carrying every serving
-knob (community size, sharding, policy, cache, OCC retry, tenancy,
-telemetry), with :func:`build_router` and :func:`build_pool` as the two
-entry points that turn it into a running service.
-
-``ShardedRouter.from_community`` remains as a thin deprecation shim that
-delegates here, so the construction path — and therefore every random
-stream — is shared and the resulting router is bit-identical whichever
-door was used.
+A serving configuration must cross process boundaries (the multi-tenant
+pool builds its routers in worker processes), so it is *data*:
+:class:`ServingConfig` is a frozen, JSON-round-trippable dataclass
+carrying every serving knob (community size, sharding, policy, cache,
+OCC retry, tenancy, telemetry), with :func:`build_router` and
+:func:`build_pool` as the two entry points that turn it into a running
+service.  Every router comes through :func:`build_router`, so shard
+partitioning and every random stream are shared by all callers.
 """
 
 from __future__ import annotations
@@ -61,10 +54,6 @@ class ServingConfig:
     staleness_budget: int = 4
     seed: int = 0
     feedback_rate: float = 0.2
-    # Route engine full re-sorts through the adaptive rank_day router
-    # (copy / run-merge / windowed / full), using the maintained order as
-    # the near-sorted hint; bit-identical to the unhinted full sort.
-    adaptive_rank: bool = False
     # Multi-tenant pool shape (workers == 0 selects the in-process router).
     tenants: int = 1
     workers: int = 0
@@ -168,10 +157,10 @@ def build_router(
 ):
     """Build a :class:`~repro.serving.router.ShardedRouter` from ``config``.
 
-    This is *the* construction path: the ``from_community`` shim, the
-    benches, and the pool's worker processes all come through here, so
-    shard partitioning (remainder spread over the first shards) and the
-    per-shard child random streams are identical everywhere.
+    This is *the* construction path: the benches, the sweep and the
+    pool's worker processes all come through here, so shard partitioning
+    (remainder spread over the first shards) and the per-shard child
+    random streams are identical everywhere.
 
     Args:
         config: the deployment description.
@@ -180,7 +169,7 @@ def build_router(
             user/page ratios that the JSON form cannot carry.
         seed: random-source override for the shard stream spawn; the
             default uses ``config.seed``.  Accepts generators and seed
-            sequences for legacy call sites.
+            sequences (the sweep passes one per variant).
         policy: policy-object override (defaults to ``config.policy()``,
             which is field-for-field identical).
         telemetry: a recorder to attach (replaces the historical post-hoc
@@ -240,7 +229,6 @@ def build_router(
                 state=state,
                 name="shard-%d" % shard,
                 seed=rng,
-                adaptive_rank=config.adaptive_rank,
             )
         )
     router = ShardedRouter(engines)

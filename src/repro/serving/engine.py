@@ -79,7 +79,6 @@ class ServingEngine:
         state: Optional[PopularityState] = None,
         name: str = "community",
         seed: RandomSource = None,
-        adaptive_rank: bool = False,
     ) -> None:
         self.community = community
         self.policy = policy
@@ -103,7 +102,6 @@ class ServingEngine:
             else PopularityState.from_config(community, self.rng, mode=mode)
         )
         self.day = 0
-        self.adaptive_rank = bool(adaptive_rank)
         self.full_sorts = 0
         self.repairs = 0
         self.telemetry = NULL_RECORDER
@@ -244,17 +242,11 @@ class ServingEngine:
         """Fully re-sort the maintained order through the ``rank_day`` kernel.
 
         One ``random(n)`` tie-key draw from the engine's generator, as the
-        exact ranker draws.  With ``adaptive_rank`` the base order is the
-        kernel router's near-sorted hint (copy / run-merge / windowed /
-        full); the result is bit-identical either way.
+        exact ranker draws.
         """
-        hint = None
-        if self.adaptive_rank and self._order is not None:
-            hint = self._order[None, :]
         self._install_order(
             batched_deterministic_order(
-                self.state.popularity[None, :], None, "random", [self.rng],
-                prev_perm=hint,
+                self.state.popularity[None, :], None, "random", [self.rng]
             )[0]
         )
 

@@ -40,8 +40,6 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.community.config import CommunityConfig
-from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.robustness.faults import (
     NULL_INJECTOR,
     FaultInjector,
@@ -149,49 +147,6 @@ class ShardedRouter:
         self.telemetry = NULL_RECORDER
         self.faults = NULL_INJECTOR
         self.robustness = RouterRobustnessState()
-
-    @classmethod
-    def from_community(
-        cls,
-        community: CommunityConfig,
-        policy: RankPromotionPolicy = RECOMMENDED_POLICY,
-        n_shards: int = 1,
-        *,
-        mode: str = "fluid",
-        cache_capacity: Optional[int] = 128,
-        staleness_budget: int = 0,
-        seed: RandomSource = None,
-    ) -> "ShardedRouter":
-        """Partition ``community`` into ``n_shards`` equal communities.
-
-        .. deprecated:: 1.3
-            Thin shim over :func:`repro.serving.config.build_router`; new
-            code should build a frozen, JSON-round-trippable
-            :class:`~repro.serving.config.ServingConfig` and call
-            ``build_router(config)`` (or ``build_pool(config)`` for the
-            multi-tenant process pool).  This classmethod remains for
-            existing call sites and delegates to the same construction
-            path, so the resulting router is bit-identical.
-
-        Each shard keeps the paper's user/page ratios (via
-        :meth:`CommunityConfig.scaled`) and gets an independent child random
-        stream, so shard behaviour is reproducible regardless of query
-        interleaving.  ``cache_capacity=None`` disables caching.
-        """
-        from repro.serving.config import ServingConfig, build_router
-
-        config = ServingConfig(
-            n_pages=community.n_pages,
-            n_shards=n_shards,
-            mode=mode,
-            policy_rule=policy.rule,
-            policy_k=policy.k,
-            policy_r=policy.r,
-            cache_capacity=cache_capacity,
-            staleness_budget=staleness_budget,
-            seed=seed if isinstance(seed, int) else 0,
-        )
-        return build_router(config, community=community, seed=seed, policy=policy)
 
     # ------------------------------------------------------------------ API
 

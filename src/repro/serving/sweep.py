@@ -60,9 +60,9 @@ from repro.core.batch_rank import (
     batched_prefix_promotion_slots,
 )
 from repro.core.kernels import get_backend
-from repro.core.kernels import ROUTE_STATS
 from repro.core.policy import VALID_RULES, RankPromotionPolicy
 from repro.serving.cache import page_key
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.engine import ServingEngine
 from repro.serving.router import ShardedRouter, stable_shard_hash
 from repro.serving.state import sum_by_page
@@ -232,14 +232,17 @@ def build_variant_router(
     engine seeds and the optional warm steady-state awareness profile are
     identical — the precondition for bit-identical replays.
     """
-    router = ShardedRouter.from_community(
-        community,
-        variant.policy(),
-        n_shards=variant.n_shards,
-        mode=variant.mode,
-        cache_capacity=variant.effective_cache_capacity,
-        staleness_budget=variant.staleness_budget,
+    router = build_router(
+        ServingConfig(
+            n_pages=community.n_pages,
+            n_shards=variant.n_shards,
+            mode=variant.mode,
+            cache_capacity=variant.effective_cache_capacity,
+            staleness_budget=variant.staleness_budget,
+        ),
+        community=community,
         seed=seed,
+        policy=variant.policy(),
     )
     if warm_awareness:
         from repro.serving.bench import seed_steady_state_awareness
@@ -911,13 +914,6 @@ class ServingSweep:
                 None,
                 "random",
                 [engine.rng for engine in group],
-                # Every resorting lane maintains a base order already (fresh
-                # lanes go through _bootstrap); it is the adaptive hint.
-                # These lanes crossed the half-dirty threshold, so the
-                # kernel usually falls back to the full sort — the hint
-                # costs one run-detection pass and wins whenever the
-                # feedback left the order near-sorted anyway.
-                prev_perm=np.stack([engine._order for engine in group]),
             )
             for row, engine in enumerate(group):
                 engine._install_order(orders[row].copy())
@@ -1257,7 +1253,6 @@ def run_sweep_benchmark(
                 independent_seconds = elapsed
             independent = replays  # identical results every repetition
 
-            routes_before = ROUTE_STATS.as_dict()
             candidate = run_sweep(
                 community,
                 variants,
@@ -1266,16 +1261,6 @@ def run_sweep_benchmark(
                 n_workers=n_workers,
                 warm_awareness=warm_awareness,
             )
-            # Deterministic replay: every repetition takes identical
-            # routes, so the last delta tags the report (grouped lane
-            # resorts go through the adaptive rank_day router; worker
-            # processes keep their own counters).
-            routes_after = ROUTE_STATS.as_dict()
-            route_delta = {
-                key: routes_after[key] - value
-                for key, value in routes_before.items()
-                if key != "rank_displacement_max"
-            }
             if gc_was_enabled:
                 gc.enable()
             if sweep is None or candidate.elapsed_seconds < sweep.elapsed_seconds:
@@ -1346,8 +1331,6 @@ def run_sweep_benchmark(
     }
     if parity is not None:
         report["parity_bit_identical"] = 1.0 if parity else 0.0
-    for key, value in route_delta.items():
-        report["resort_%s" % key] = float(value)
     if recorder is not None:
         report.update(recorder.snapshot())
     return report

@@ -40,7 +40,6 @@ from repro.community.lifecycle import Lifecycle, PoissonLifecycle
 from repro.community.page import BatchPagePool
 from repro.core.kernels import get_backend
 from repro.core.rankers import Ranker
-from repro.core.kernels import ROUTE_STATS
 from repro.core.rankers_context import BatchRankingContext
 from repro.metrics.qpc import QPCAccumulator
 from repro.metrics.tbp import tbp_from_trajectory
@@ -73,12 +72,6 @@ class BatchSimulator:
             parity; by default the family is spawned from ``config.seed``.
         history_length: recent popularity snapshots kept for history-aware
             rankers (the fallback path slices them per row).
-        adaptive_rank: thread each day's deterministic order into the next
-            day's ranking as a near-sorted hint, letting the kernel layer
-            merge surviving sorted runs instead of re-sorting from scratch
-            (``rank_day``'s ``prev_perm`` argument).  Results are
-            bit-identical either way — the kernel falls back to the full
-            sort whenever the day is not actually near-sorted.
         n_workers: number of contiguous replicate blocks stepped on
             concurrent threads; ``None`` sizes it with
             :func:`~repro.utils.parallel.default_workers` (at least
@@ -88,15 +81,15 @@ class BatchSimulator:
             Results are bit-identical for every block count.
 
     Each block is a simulator over rows ``[lo, hi)`` whose pool, share
-    buffer and generators are views of this one's, with its own ranking
-    hint and popularity history.  :meth:`step` runs block 0 on the calling
-    thread and the others on the block pool, then joins them, so one day
-    is still one ``step()``.  The blocks share the ranker, attention,
+    buffer and generators are views of this one's, with its own popularity
+    history.  :meth:`step` runs block 0 on the calling thread and the
+    others on the block pool, then joins them, so one day is still one
+    ``step()``.  The blocks share the ranker, attention,
     surfing and lifecycle objects and call them concurrently, so custom
     ones must keep no per-call state on themselves (the built-in ones
     are frozen or stateless); run a stateful one with ``n_workers=1``.
-    Once the rows are split, the ranking hint and history live on the
-    blocks, not on this simulator.
+    Once the rows are split, the history lives on the blocks, not on this
+    simulator.
     """
 
     def __init__(
@@ -110,7 +103,6 @@ class BatchSimulator:
         replicates: int = 1,
         rngs: Optional[Sequence[np.random.Generator]] = None,
         history_length: int = 0,
-        adaptive_rank: bool = False,
         n_workers: Optional[int] = None,
     ) -> None:
         self.community = community
@@ -137,8 +129,6 @@ class BatchSimulator:
         self.day = 0
         self._history: Deque[np.ndarray] = deque(maxlen=self.history_length or None)
         self._shares = np.empty((R, self.pool.n), dtype=float)
-        self.adaptive_rank = bool(adaptive_rank)
-        self._prev_order: Optional[np.ndarray] = None
         self.telemetry = NULL_RECORDER
         #: This simulator's rows of the day's visit matrix (all of them
         #: unless it is a block of another simulator).
@@ -176,23 +166,10 @@ class BatchSimulator:
         if telemetry.enabled:
             day = self.day
             started = time.perf_counter()
-            routes = ROUTE_STATS.as_dict() if self.adaptive_rank else None
             try:
                 return self._step(compute_all_visits)
             finally:
                 telemetry.record_day_step(day, time.perf_counter() - started)
-                if routes is not None:
-                    after = ROUTE_STATS.as_dict()
-                    telemetry.record_rank_routes(
-                        after["rank_route_full"] - routes["rank_route_full"],
-                        after["rank_route_run_merge"]
-                        - routes["rank_route_run_merge"],
-                        after["rank_route_windowed"]
-                        - routes["rank_route_windowed"],
-                        after["rank_route_copy"] - routes["rank_route_copy"],
-                        after["rank_displacement_sum"]
-                        - routes["rank_displacement_sum"],
-                    )
         return self._step(compute_all_visits)
 
     def _step(self, compute_all_visits: bool) -> Optional[np.ndarray]:
@@ -216,17 +193,9 @@ class BatchSimulator:
         """One day of this simulator's rows; returns their visit shares."""
         pool = self.pool
         context = BatchRankingContext.from_batch_pool(
-            pool,
-            now=now,
-            popularity_history=self._history_array(),
-            prev_order=self._prev_order if self.adaptive_rank else None,
+            pool, now=now, popularity_history=self._history_array()
         )
         rankings = self.ranker.rank_batch(context, self.rngs)
-        if self.adaptive_rank:
-            # Built-in rankers record the deterministic order they computed;
-            # it becomes tomorrow's near-sorted hint.  Custom rankers that
-            # never set it simply keep the full-sort path.
-            self._prev_order = context.deterministic_order
 
         surfing_fraction = 0.0
         surf_shares = None
@@ -376,7 +345,6 @@ def run_batch(
     seed: RandomSource = None,
     history_length: int = 0,
     n_workers: Optional[int] = None,
-    adaptive_rank: bool = False,
     telemetry=None,
 ) -> List[SimulationResult]:
     """Run ``R`` replicates through the batch engine; one result per replicate.
@@ -387,8 +355,8 @@ def run_batch(
     threads (``None`` auto-sizes, ``1`` steps every row on the calling
     thread); the results, ordered by replicate, are identical for every
     value.  A ``telemetry`` recorder observes the run without changing
-    how it executes: the blocks' kernel spans and route counters land in
-    the one process, and each day is one ``day`` row.
+    how it executes: the blocks' kernel spans land in the one process,
+    and each day is one ``day`` row.
     """
     config = config or SimulationConfig()
     if rngs is None:
@@ -405,7 +373,6 @@ def run_batch(
         lifecycle=lifecycle,
         rngs=rngs,
         history_length=history_length,
-        adaptive_rank=adaptive_rank,
         n_workers=n_workers,
     )
     if telemetry is not None:

@@ -23,7 +23,6 @@ from typing import Dict, Optional
 
 from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
 from repro.core.kernels import get_backend, use_backend
-from repro.core.kernels import ROUTE_STATS
 from repro.core.policy import RankPromotionPolicy, RECOMMENDED_POLICY
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import _run_replicates
@@ -41,7 +40,6 @@ def run_simulation_benchmark(
     n_workers: Optional[int] = None,
     check_parity: bool = True,
     backend: Optional[str] = None,
-    adaptive_rank: bool = False,
     telemetry_window: Optional[int] = None,
     telemetry_out: Optional[str] = None,
 ) -> Dict[str, float]:
@@ -64,10 +62,6 @@ def run_simulation_benchmark(
             engines over the baseline replicates (fluid parity contract).
         backend: kernel backend to pin for this run (``None`` keeps the
             process default).
-        adaptive_rank: rank each batch day from the previous day's order
-            via the kernel layer's near-sorted merge path (the CLI's
-            ``--adaptive-rank`` toggle); bit-identical to the full sort,
-            echoed in the report so benchmark JSON is tagged with it.
 
     The report's ``kernel_backend`` entry names the backend that actually
     ran (after any unavailable-backend fallback), so benchmark JSON and the
@@ -80,7 +74,6 @@ def run_simulation_benchmark(
                 baseline_replicates=baseline_replicates,
                 warmup_days=warmup_days, measure_days=measure_days, mode=mode,
                 seed=seed, n_workers=n_workers, check_parity=check_parity,
-                adaptive_rank=adaptive_rank,
                 telemetry_window=telemetry_window, telemetry_out=telemetry_out,
             )
     kernels = get_backend()
@@ -118,14 +111,12 @@ def run_simulation_benchmark(
         )
         recorder.install_kernel_spans()
 
-    routes_before = ROUTE_STATS.as_dict() if adaptive_rank else None
     started = time.perf_counter()
     try:
         batch = _run_replicates(
             community, policy, config,
             repetitions=replicates, seed=seed, engine="batch",
-            n_workers=n_workers, adaptive_rank=adaptive_rank,
-            telemetry=recorder,
+            n_workers=n_workers, telemetry=recorder,
         )
     finally:
         if recorder is not None:
@@ -147,7 +138,6 @@ def run_simulation_benchmark(
 
     report: Dict[str, float] = {
         "kernel_backend": kernels.name,
-        "adaptive_rank": 1.0 if adaptive_rank else 0.0,
         "n_pages": float(community.n_pages),
         "replicates": float(replicates),
         "baseline_replicates": float(baseline_replicates),
@@ -164,21 +154,6 @@ def run_simulation_benchmark(
     }
     if parity is not None:
         report["parity_bit_identical"] = 1.0 if parity else 0.0
-    if routes_before is not None:
-        # Route mix of the timed region; the mean estimated/realized
-        # displacement bound tags the JSON with how tight the windowed
-        # route ran.
-        after = ROUTE_STATS.as_dict()
-        for key, before in routes_before.items():
-            if key == "rank_displacement_max":
-                report[key] = float(after[key])
-            else:
-                report[key] = float(after[key] - before)
-        windowed_rows = report.get("rank_route_windowed", 0.0)
-        if windowed_rows:
-            report["rank_displacement_mean"] = (
-                report["rank_displacement_sum"] / windowed_rows
-            )
     if recorder is not None:
         report.update(recorder.snapshot())
     return report

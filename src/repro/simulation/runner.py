@@ -66,16 +66,12 @@ def _run_replicates(
     seed: RandomSource = None,
     engine: str = "batch",
     n_workers: Optional[int] = None,
-    adaptive_rank: bool = False,
     telemetry=None,
 ) -> List[SimulationResult]:
     """Run all repetitions of one configuration; one result per replicate.
 
     ``spawn_rngs`` hands replicate ``r`` the same generator regardless of
     the engine, so the two paths agree replicate-for-replicate.
-    ``adaptive_rank`` (batch engine only) threads each day's deterministic
-    order into the next day's ranking as a near-sorted merge hint; results
-    are bit-identical with it on or off.
     """
     if engine not in VALID_ENGINES:
         raise ValueError("engine must be one of %s, got %r" % (VALID_ENGINES, engine))
@@ -93,7 +89,6 @@ def _run_replicates(
         surfing=surfing,
         rngs=rngs,
         n_workers=n_workers,
-        adaptive_rank=adaptive_rank,
         telemetry=telemetry,
     )
 

@@ -47,8 +47,8 @@ BASE_FIELDS = (
     "occ_dead_letters",
     "degraded_serves",
     "load_sheds",
-    # Adaptive rank_day route mix (PR 9); appended so earlier cumulative
-    # indices stay frozen.
+    # Route mix of the removed adaptive rank_day router.  Nothing records
+    # them any more, so they read 0; the schema is append-only, so they stay.
     "rank_route_full",
     "rank_route_run_merge",
     "rank_route_windowed",
@@ -112,16 +112,6 @@ class NullRecorder:
         pass
 
     def record_load_shed(self) -> None:
-        pass
-
-    def record_rank_routes(
-        self,
-        full: int,
-        run_merge: int,
-        windowed: int,
-        copy: int,
-        displacement_sum: int,
-    ) -> None:
         pass
 
     def record_recovery(self, shard: int, seconds: float) -> None:
@@ -291,29 +281,6 @@ class TelemetryRecorder:
     def record_load_shed(self) -> None:
         """One query shed: shard down and staleness budget exhausted."""
         self._cum[15] += 1.0
-
-    def record_rank_routes(
-        self,
-        full: int,
-        run_merge: int,
-        windowed: int,
-        copy: int,
-        displacement_sum: int,
-    ) -> None:
-        """Per-row route counts one adaptive ``rank_day`` region took.
-
-        Callers difference the shared kernel-layer
-        :data:`~repro.core.kernels.api.ROUTE_STATS` counters
-        around a region (a simulated day, a sweep resort window) and feed
-        the deltas here; ``displacement_sum`` totals the windowed rows'
-        estimated (numpy) or realized (numba) displacement bounds.
-        """
-        cum = self._cum
-        cum[16] += full
-        cum[17] += run_merge
-        cum[18] += windowed
-        cum[19] += copy
-        cum[20] += displacement_sum
 
     def record_recovery(self, shard: int, seconds: float) -> None:
         """One crashed shard rebuilt from checkpoint + journal replay."""

@@ -113,13 +113,10 @@ class TimedKernelBackend(KernelBackend):
         ages: Optional[np.ndarray],
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
-        prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         started = time.perf_counter()
         try:
-            return self._inner.rank_day(
-                scores, ages, tie_breaker, rngs, prev_perm=prev_perm
-            )
+            return self._inner.rank_day(scores, ages, tie_breaker, rngs)
         finally:
             self._record("rank_day", started)
 

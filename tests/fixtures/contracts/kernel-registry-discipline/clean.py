@@ -10,7 +10,7 @@ def dispatch(scores, ages, rngs):
 
 def pinned_region(name):
     with use_backend(name) as backend:
-        return backend.describe(), ROUTE_STATS.as_dict()
+        return backend.describe(), ROUTE_STATS.full
 
 
 def repair(order, popularity, dirty):

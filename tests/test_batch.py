@@ -386,9 +386,6 @@ def _block_case(case):
     kwargs = {"ranker": RankPromotionPolicy("selective", 1, 0.2).build_ranker()}
     if case == "stochastic":
         config["mode"] = "stochastic"
-    elif case == "adaptive_rank":
-        config["mode"] = "stochastic"
-        kwargs["adaptive_rank"] = True
     elif case == "probe_quality":
         config.update(probe_quality=0.3, probe_horizon_days=9)
     elif case == "fixed_lifetime":
@@ -421,7 +418,6 @@ class TestReplicateBlocks:
         [
             "fluid",
             "stochastic",
-            "adaptive_rank",
             "probe_quality",
             "fixed_lifetime",
             "row_pool_lifecycle",

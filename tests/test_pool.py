@@ -164,58 +164,6 @@ class TestServingPool:
             assert np.array_equal(frozen.quality, engine.state.quality)
             assert frozen.version == engine.state.version
 
-    def test_single_worker_adaptive_rank_matches_in_process_router(self):
-        """A pooled adaptive_rank run is bit-identical to the in-process one.
-
-        After the streaming identity check, an all-pages feedback batch
-        pushes every engine over the half-community dirty threshold, so the
-        next query provably takes the adaptive full re-sort branch — and
-        still serves the exact pages (and maintains the exact order) the
-        non-adaptive reference does, consuming its generator identically.
-        """
-        config = self.CONFIG.replace(adaptive_rank=True)
-        batches = [100, 100]
-        pool = build_pool(config, warm=True)
-        for n_queries in batches:
-            pool.submit(0, n_queries)
-        stats = pool.shutdown()
-        assert stats["queries"] == float(sum(batches))
-
-        spec = plan_tenancy(1, 1, config.seed, config.n_pages)[0]
-        adaptive = _reference_router_run(config, spec, batches)
-        plain = _reference_router_run(
-            config.replace(adaptive_rank=False), spec, batches
-        )
-        for shard, engine in enumerate(adaptive.engines):
-            frozen = pool.states[0][shard]
-            assert np.array_equal(
-                frozen.pool.aware_count, engine.state.pool.aware_count
-            )
-            assert frozen.version == engine.state.version
-        # Both reference runs replayed the pool's stream bit-identically,
-        # so their engines (and rng states) agree; now force the adaptive
-        # full-resort branch and demand it stays invisible downstream.
-        for adaptive_engine, plain_engine in zip(
-            adaptive.engines, plain.engines
-        , strict=True):
-            touched = np.arange(adaptive_engine.state.n)
-            adaptive_engine.apply_feedback(touched)
-            plain_engine.apply_feedback(touched)
-            full_sorts = adaptive_engine.full_sorts
-            adaptive_page = adaptive_engine.top_k(10)
-            plain_page = plain_engine.top_k(10)
-            assert adaptive_engine.full_sorts == full_sorts + 1
-            assert np.array_equal(adaptive_page, plain_page)
-            adaptive_engine._compact()
-            plain_engine._compact()
-            assert np.array_equal(
-                adaptive_engine._order, plain_engine._order
-            )
-            assert (
-                adaptive_engine.rng.bit_generator.state
-                == plain_engine.rng.bit_generator.state
-            )
-
     def test_two_identical_pools_agree(self):
         results = []
         for _ in range(2):

@@ -38,8 +38,9 @@ from repro.robustness import (
 from repro.serving import (
     PopularityState,
     ResultPageCache,
+    ServingConfig,
     ServingEngine,
-    ShardedRouter,
+    build_router,
 )
 from repro.telemetry import TelemetryRecorder
 
@@ -58,14 +59,15 @@ COMMUNITY = CommunityConfig(
 )
 
 
-def build_router(n_shards=2, cache_capacity=8, staleness_budget=2, seed=0):
-    return ShardedRouter.from_community(
-        COMMUNITY,
+def make_router(n_shards=2, cache_capacity=8, staleness_budget=2, seed=0):
+    config = ServingConfig(
+        n_pages=COMMUNITY.n_pages,
         n_shards=n_shards,
         cache_capacity=cache_capacity,
         staleness_budget=staleness_budget,
         seed=seed,
     )
+    return build_router(config, community=COMMUNITY)
 
 
 def query_for_shard(router, shard):
@@ -119,7 +121,7 @@ class TestFaultPlan:
         assert FaultPlan().max_shard() == -1
 
     def test_injector_rejects_out_of_range_shard(self):
-        router = build_router(n_shards=2)
+        router = make_router(n_shards=2)
         plan = FaultPlan(events=(FaultEvent(kind="stall", at_query=1, shard=5),))
         with pytest.raises(ValueError, match="shard 5"):
             FaultInjector(plan, router)
@@ -248,7 +250,7 @@ class TestOCCState:
         assert state.pool.aware_count[1] > 0
 
     def test_router_retries_injected_conflict(self):
-        router = build_router()
+        router = make_router()
         query = query_for_shard(router, 0)
         plan = FaultPlan(
             events=(FaultEvent(kind="conflict", at_query=1, shard=0, count=1),)
@@ -265,7 +267,7 @@ class TestOCCState:
         assert router.robustness.occ_conflicts == 1
 
     def test_router_dead_letters_then_redelivers(self):
-        router = build_router()
+        router = make_router()
         query = query_for_shard(router, 0)
         plan = FaultPlan(
             events=(FaultEvent(kind="conflict", at_query=1, shard=0, count=5),)
@@ -294,7 +296,7 @@ class TestOCCState:
         assert router.robustness.dead_letters.total_batches == 2  # history preserved
 
     def test_flush_truthiness_preserved(self):
-        router = build_router()
+        router = make_router()
         query = query_for_shard(router, 1)
         assert not router.flush_feedback()  # nothing buffered
         router.submit_feedback(query, page_index=0)
@@ -306,7 +308,7 @@ class TestOCCState:
 
 class TestBatchFaults:
     def arm(self, kind, count=1):
-        router = build_router()
+        router = make_router()
         query = query_for_shard(router, 0)
         events = tuple(
             FaultEvent(kind=kind, at_query=1, shard=0) for _ in range(count)
@@ -490,7 +492,7 @@ class TestDegradation:
             policy.budget(0)
 
     def test_degraded_serve_then_load_shed(self):
-        router = build_router()
+        router = make_router()
         query = query_for_shard(router, 0)
         plan = FaultPlan(
             events=(FaultEvent(kind="crash", at_query=2, shard=0, duration=50),)
@@ -516,7 +518,7 @@ class TestDegradation:
         assert supervisor.load_sheds == 1
 
     def test_unknown_k_is_shed_immediately(self):
-        router = build_router()
+        router = make_router()
         query = query_for_shard(router, 0)
         plan = FaultPlan(
             events=(FaultEvent(kind="crash", at_query=1, shard=0, duration=50),)
@@ -526,7 +528,7 @@ class TestDegradation:
             router.serve(query, k=5)
 
     def test_flush_skips_downed_shard_backpressure(self):
-        router = build_router()
+        router = make_router()
         query_down = query_for_shard(router, 0)
         query_up = query_for_shard(router, 1)
         plan = FaultPlan(
@@ -564,7 +566,7 @@ class TestCachePoison:
 
     def test_invalidate_under_conflict(self):
         """A version bumped by a concurrent writer evicts within budget 0."""
-        router = build_router(cache_capacity=4, staleness_budget=0)
+        router = make_router(cache_capacity=4, staleness_budget=0)
         query = query_for_shard(router, 0)
         router.serve(query, k=5)
         engine = router.engines[0]
@@ -576,7 +578,7 @@ class TestCachePoison:
         assert engine.cache.stats.hits == hits_before + 1  # stale, recomputed
 
     def test_poison_event_end_to_end(self):
-        router = build_router(cache_capacity=4, staleness_budget=10)
+        router = make_router(cache_capacity=4, staleness_budget=10)
         query = query_for_shard(router, 0)
         plan = FaultPlan(
             events=(FaultEvent(kind="poison", at_query=2, shard=0),)
@@ -601,9 +603,9 @@ class TestConstructionValidation:
 
     def test_router_rejects_bad_serving_knobs(self):
         with pytest.raises(ValueError, match="cache_capacity"):
-            build_router(cache_capacity=0)
+            make_router(cache_capacity=0)
         with pytest.raises(ValueError, match="staleness_budget"):
-            build_router(staleness_budget=-1)
+            make_router(staleness_budget=-1)
 
 
 # ----------------------------------------------------- telemetry lifecycle
@@ -690,7 +692,7 @@ class TestChaosBench:
 
     def test_disabled_faults_leave_serving_untouched(self):
         """enable + disable returns the router to the no-op hot path."""
-        router = build_router()
+        router = make_router()
         router.enable_robustness(FaultPlan(), seed=0)
         router.disable_robustness()
         query = query_for_shard(router, 0)

@@ -51,6 +51,18 @@ def serving_community():
     )
 
 
+def _router(community, n_shards=1, cache_capacity=128, staleness_budget=0, seed=0):
+    """A router over ``community`` with the recommended policy."""
+    config = ServingConfig(
+        n_pages=community.n_pages,
+        n_shards=n_shards,
+        cache_capacity=cache_capacity,
+        staleness_budget=staleness_budget,
+        seed=seed,
+    )
+    return build_router(config, community=community)
+
+
 # ----------------------------------------------------------------- parity
 
 
@@ -516,9 +528,7 @@ def test_engine_serves_from_cache_until_feedback(serving_community):
 
 
 def test_router_stable_hashing(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=4, seed=0
-    )
+    router = _router(serving_community, n_shards=4)
     for query in ("q1", "q2", 42, ("tuple", 3)):
         assert router.shard_for(query) == router.shard_for(query)
     assert stable_shard_hash("q1") == stable_shard_hash("q1")
@@ -594,23 +604,16 @@ def test_router_counts_only_accepted_queries():
 
 def test_router_shard_sizes_sum_to_requested_pages(serving_community):
     """Non-divisible page counts are spread over shards, never dropped."""
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=3, seed=0
-    )
+    router = _router(serving_community, n_shards=3)
     assert router.n_pages == serving_community.n_pages
     sizes = [engine.state.n for engine in router.engines]
     assert max(sizes) - min(sizes) <= 1
     with pytest.raises(ValueError):
-        ShardedRouter.from_community(
-            serving_community, RECOMMENDED_POLICY,
-            n_shards=serving_community.n_pages + 1,
-        )
+        _router(serving_community, n_shards=serving_community.n_pages + 1)
 
 
 def test_router_feedback_batched_until_flush(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=2, cache_capacity=None, seed=1
-    )
+    router = _router(serving_community, n_shards=2, cache_capacity=None, seed=1)
     before = [engine.state.version for engine in router.engines]
     page = router.serve("hot-query", 5)
     router.submit_feedback("hot-query", int(page[0]))
@@ -626,22 +629,8 @@ def test_router_feedback_batched_until_flush(serving_community):
     assert router.engines[shard].state.version == before[shard] + 1
 
 
-def test_router_from_community_validates_serving_knobs(serving_community):
-    """Bad cache/staleness knobs fail at construction, not mid-serve."""
-    with pytest.raises(ValueError):
-        ShardedRouter.from_community(
-            serving_community, RECOMMENDED_POLICY, cache_capacity=0
-        )
-    with pytest.raises(ValueError):
-        ShardedRouter.from_community(
-            serving_community, RECOMMENDED_POLICY, staleness_budget=-1
-        )
-
-
 def test_router_advance_day_flushes_and_ages(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=2, seed=2
-    )
+    router = _router(serving_community, n_shards=2, seed=2)
     page = router.serve("q", 3)
     router.submit_feedback("q", int(page[0]))
     router.advance_day()
@@ -668,9 +657,7 @@ def test_workload_zipf_skew_and_determinism():
 
 
 def test_run_stream_rejects_conflicting_seed_and_workload(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=1, seed=0
-    )
+    router = _router(serving_community)
     with pytest.raises(ValueError):
         run_stream(router, 10, workload=StreamingWorkload(seed=1), seed=2)
     with pytest.raises(ValueError):
@@ -678,13 +665,8 @@ def test_run_stream_rejects_conflicting_seed_and_workload(serving_community):
 
 
 def test_run_stream_end_to_end(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community,
-        RECOMMENDED_POLICY,
-        n_shards=2,
-        cache_capacity=8,
-        staleness_budget=1,
-        seed=3,
+    router = _router(
+        serving_community, n_shards=2, cache_capacity=8, staleness_budget=1, seed=3
     )
     workload = StreamingWorkload(
         WorkloadConfig(n_distinct_queries=40, k=5, feedback_rate=0.5, flush_every=16),

@@ -7,11 +7,9 @@ import pytest
 
 from repro.cli import build_parser, serving_config_from_args
 from repro.community.config import DEFAULT_COMMUNITY
-from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
+from repro.core.policy import RankPromotionPolicy
 from repro.robustness.occ import RetryPolicy
 from repro.serving.config import ServingConfig, build_router
-from repro.serving.router import ShardedRouter
-from repro.serving.workload import StreamingWorkload, run_stream
 
 
 class TestServingConfig:
@@ -77,46 +75,21 @@ class TestServingConfig:
 
 
 class TestBuildRouter:
-    def test_matches_from_community_bit_for_bit(self):
-        community = DEFAULT_COMMUNITY.scaled(600)
-        config = ServingConfig(
-            n_pages=600, n_shards=3, cache_capacity=16, staleness_budget=2, seed=5
-        )
-        via_config = build_router(config)
-        via_shim = ShardedRouter.from_community(
-            community,
-            RECOMMENDED_POLICY,
-            n_shards=3,
-            cache_capacity=16,
-            staleness_budget=2,
-            seed=5,
-        )
-        for new_engine, old_engine in zip(via_config.engines, via_shim.engines, strict=True):
-            assert np.array_equal(new_engine.state.quality, old_engine.state.quality)
-        stats_config = run_stream(
-            via_config, 300, workload=StreamingWorkload(seed=11)
-        )
-        stats_shim = run_stream(via_shim, 300, workload=StreamingWorkload(seed=11))
-        assert stats_config.feedback_events == stats_shim.feedback_events
-        for new_engine, old_engine in zip(via_config.engines, via_shim.engines, strict=True):
-            assert np.array_equal(
-                new_engine.state.pool.aware_count, old_engine.state.pool.aware_count
-            )
-            assert new_engine.state.version == old_engine.state.version
-
     def test_shim_keeps_policy_identity(self):
+        """The ``policy=`` override reaches every engine as the same object."""
         policy = RankPromotionPolicy("uniform", 2, 0.3)
-        router = ShardedRouter.from_community(
-            DEFAULT_COMMUNITY.scaled(200), policy, n_shards=2, seed=0
-        )
+        router = build_router(ServingConfig(n_pages=200, n_shards=2), policy=policy)
         assert all(engine.policy is policy for engine in router.engines)
 
     def test_shim_accepts_seed_sequence(self):
-        seq = np.random.SeedSequence(7)
-        router = ShardedRouter.from_community(
-            DEFAULT_COMMUNITY.scaled(200), RECOMMENDED_POLICY, n_shards=2, seed=seq
-        )
-        assert router.n_shards == 2
+        """The ``seed=`` override takes a SeedSequence, as the sweep passes."""
+        config = ServingConfig(n_pages=200, n_shards=2)
+        routers = [
+            build_router(config, seed=np.random.SeedSequence(7)) for _ in range(2)
+        ]
+        assert routers[0].n_shards == 2
+        for ours, theirs in zip(routers[0].engines, routers[1].engines, strict=True):
+            assert np.array_equal(ours.state.quality, theirs.state.quality)
 
     def test_retry_policy_lands_on_router(self):
         config = ServingConfig(

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.community.config import DEFAULT_COMMUNITY
 from repro.core import kernels
-from repro.core.kernels import ROUTE_STATS, RankRouteStats, get_backend, use_backend
+from repro.core.kernels import get_backend, use_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.serving.bench import (
     measure_telemetry_overhead,
@@ -44,7 +44,7 @@ from repro.serving.figures import (
     sweep_tradeoff_figures,
     telemetry_series_figure,
 )
-from repro.serving.router import ShardedRouter
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.sweep import SweepVariant, run_sweep, variant_grid
 from repro.serving.workload import (
     StreamingWorkload,
@@ -271,9 +271,7 @@ class TestNullRecorder:
         recorder.close()
 
     def test_components_default_to_null(self):
-        router = ShardedRouter.from_community(
-            DEFAULT_COMMUNITY.scaled(200), RECOMMENDED_POLICY, n_shards=2, seed=0
-        )
+        router = build_router(ServingConfig(n_pages=200, n_shards=2))
         assert router.telemetry is NULL_RECORDER
         for engine in router.engines:
             assert engine.telemetry is NULL_RECORDER
@@ -357,13 +355,10 @@ class TestTelemetryRecorder:
 
 
 def _serving_run(n_queries, recorder=None, seed=7):
-    router = ShardedRouter.from_community(
-        DEFAULT_COMMUNITY.scaled(600),
-        RECOMMENDED_POLICY,
-        n_shards=2,
-        cache_capacity=32,
-        staleness_budget=2,
-        seed=seed,
+    router = build_router(
+        ServingConfig(
+            n_pages=600, n_shards=2, cache_capacity=32, staleness_budget=2, seed=seed
+        )
     )
     seed_steady_state_awareness(router, rng=derive_seed(seed, "warm"))
     workload = StreamingWorkload(
@@ -459,15 +454,6 @@ class TestWindowedVsAggregate:
 
 # ------------------------------------------------ concurrent replicate blocks
 
-_ROUTE_KEYS = (
-    "rank_route_full",
-    "rank_route_run_merge",
-    "rank_route_windowed",
-    "rank_route_copy",
-    "rank_displacement_sum",
-)
-
-
 def _hammer(update, threads=4, calls=5_000):
     """Call ``update`` from more threads than cores, switching often."""
 
@@ -521,39 +507,6 @@ class TestConcurrentBlocks:
         # Both blocks' kernels reach the one span table: a rank_day per
         # block per day.
         assert snapshot["telemetry_span_rank_day@numpy_calls"] == 16.0
-
-    @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
-    def test_two_block_route_counts_match_one_block(self, mode):
-        community = DEFAULT_COMMUNITY.scaled(300)
-        config = SimulationConfig(warmup_days=4, measure_days=4, mode=mode)
-        ranker = RECOMMENDED_POLICY.build_ranker()
-        deltas = {}
-        recorded = {}
-        for n_workers in (1, 2):
-            recorder = TelemetryRecorder(window=8, buckets=1, label="sim")
-            before = ROUTE_STATS.as_dict()
-            run_batch(
-                community, ranker, config, rngs=spawn_rngs(5, 6),
-                n_workers=n_workers, adaptive_rank=True, telemetry=recorder,
-            )
-            after = ROUTE_STATS.as_dict()
-            recorder.close()
-            deltas[n_workers] = {key: after[key] - before[key] for key in _ROUTE_KEYS}
-            snapshot = recorder.snapshot()
-            recorded[n_workers] = {
-                key: snapshot["telemetry_" + key] for key in _ROUTE_KEYS
-            }
-        assert deltas[2] == deltas[1]
-        assert recorded[2] == recorded[1] == deltas[1]
-        # Every row of every hinted day (all but the first) took one route.
-        routes = sum(deltas[1][key] for key in _ROUTE_KEYS[:4])
-        assert routes == 6 * 7
-
-    def test_route_stats_updates_are_not_lost(self):
-        stats = RankRouteStats()
-        total = _hammer(lambda: stats.record(copy=1, full=2, displacement_max=3))
-        assert stats.copy == total and stats.full == 2 * total
-        assert stats.displacement_max == 3
 
     def test_span_table_updates_are_not_lost(self):
         table = SpanTable()
