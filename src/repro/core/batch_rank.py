@@ -118,45 +118,6 @@ def batched_merge_counts(
     return counts
 
 
-def batched_prefix_promotion_slots(
-    flips: np.ndarray, n_deterministic: np.ndarray, n_promoted: np.ndarray
-) -> np.ndarray:
-    """Promotion-slot masks for the first ``k`` slots of many merges at once.
-
-    The serving engine's prefix-only randomized promotion
-    (:meth:`ServingEngine._merge_prefix <repro.serving.engine.ServingEngine>`)
-    decides, for the ``k`` visible slots alone, which slots take from the
-    promotion pool: the merge coins are flipped for the unprotected visible
-    slots, promotions are truncated when the pool drains, and trailing slots
-    are forced onto the pool when the deterministic list drains inside the
-    page.  All three behaviours are the clipped-cumsum slot algebra of
-    :func:`batched_merge_counts` restricted to the page prefix — the running
-    count only ever depends on earlier slots — so one batched call covers
-    every merge in the batch.
-
-    Args:
-        flips: ``(L, k_max)`` coin matrix, ``True`` where a slot's coin asks
-            for the promotion list.  Rows serving fewer than ``k_max`` slots
-            (and protected prefixes) must be ``False``-padded; padding never
-            flips because undrawn coins never pass the bias test.
-        n_deterministic: ``(L,)`` size of each row's unpromoted list.
-        n_promoted: ``(L,)`` size of each row's promotion pool.
-
-    Returns:
-        ``(L, k_max)`` boolean matrix; row ``i`` sliced to its page length
-        ``k_i`` equals the ``slots`` vector the sequential ``_merge_prefix``
-        builds, provided ``k_i <= n_deterministic[i] + n_promoted[i]`` (which
-        ``top_k``'s ``k = min(k, n)`` clamp guarantees).  The number of
-        promoted slots in the page is the row's clipped count at ``k_i - 1``,
-        i.e. ``slots[i, :k_i].sum()``.
-    """
-    counts = batched_merge_counts(flips, n_deterministic, n_promoted)
-    slots = np.empty(flips.shape, dtype=bool)
-    slots[:, 0] = counts[:, 0] > 0
-    np.greater(counts[:, 1:], counts[:, :-1], out=slots[:, 1:])
-    return slots
-
-
 def batched_promotion_merge(
     perms: np.ndarray,
     promoted_mask: np.ndarray,
@@ -188,6 +149,5 @@ __all__ = [
     "batched_deterministic_order",
     "batched_promotion_merge",
     "batched_merge_counts",
-    "batched_prefix_promotion_slots",
     "TIE_BREAKERS",
 ]

@@ -30,7 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.kernels import get_backend, use_backend
+from repro.core.kernels import get_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.robustness.faults import FaultEvent, FaultPlan, LoadShedError
 from repro.robustness.journal import state_digest
@@ -153,7 +153,6 @@ def run_chaos_benchmark(
     retry: Optional[RetryPolicy] = None,
     degradation=None,
     seed: int = 0,
-    backend: Optional[str] = None,
     telemetry_window: Optional[int] = None,
     telemetry_out: Optional[str] = None,
 ) -> Dict[str, float]:
@@ -169,17 +168,6 @@ def run_chaos_benchmark(
     headline keys); ``telemetry_window``/``telemetry_out`` additionally
     fold a windowed telemetry snapshot in under ``telemetry_*`` keys.
     """
-    if backend is not None:
-        with use_backend(backend):
-            return run_chaos_benchmark(
-                n_pages=n_pages, n_queries=n_queries, k=k, n_shards=n_shards,
-                cache_capacity=cache_capacity, staleness_budget=staleness_budget,
-                feedback_rate=feedback_rate, zipf_exponent=zipf_exponent,
-                flush_every=flush_every, day_every=day_every, mode=mode,
-                policy=policy, plan=plan, retry=retry, degradation=degradation,
-                seed=seed, telemetry_window=telemetry_window,
-                telemetry_out=telemetry_out,
-            )
     kernels = get_backend()
     kernels.warmup()
     if day_every == -1:

@@ -242,19 +242,14 @@ class ServingEngine:
         """Fully re-sort the maintained order through the ``rank_day`` kernel.
 
         One ``random(n)`` tie-key draw from the engine's generator, as the
-        exact ranker draws.
+        exact ranker draws.  The sort becomes the base and empties the side
+        list.
         """
-        self._install_order(
-            batched_deterministic_order(
-                self.state.popularity[None, :], None, "random", [self.rng]
-            )[0]
-        )
-
-    def _install_order(self, order: np.ndarray) -> None:
-        """Adopt a full sort as the base and empty the side list."""
-        self._order = order
+        self._order = batched_deterministic_order(
+            self.state.popularity[None, :], None, "random", [self.rng]
+        )[0]
         if self._in_side is None:
-            self._in_side = np.zeros(order.size, dtype=bool)
+            self._in_side = np.zeros(self._order.size, dtype=bool)
         elif self._side.size:
             self._in_side[self._side] = False
             self._side = _NO_PAGES
@@ -267,11 +262,11 @@ class ServingEngine:
 
         ``dirty`` holds distinct ascending page indices, as
         ``consume_dirty`` returns them.  Refreshes the selective pool for
-        ``dirty``.  Half the community or more calls for a re-sort, left to
-        the caller (the sweep batches it across lanes).  Fewer pages are
-        repaired lazily in O(S + d): they join the side list as the newest
-        epoch, and no O(n) pass runs until the list passes
-        ``n // SIDE_LIST_DIVISOR`` pages and is compacted.
+        ``dirty``.  Half the community or more calls for a full re-sort,
+        which :meth:`_refresh_order` runs.  Fewer pages are repaired lazily
+        in O(S + d): they join the side list as the newest epoch, and no
+        O(n) pass runs until the list passes ``n // SIDE_LIST_DIVISOR``
+        pages and is compacted.
         """
         state = self.state
         if dirty.size == 0:

@@ -18,29 +18,24 @@ trace's flush/day boundaries, :meth:`RecordedTrace.boundaries`):
 
 * each variant's shard lane serves at most one *distinct* result page per
   window, so the R x window_length standalone ``serve`` calls collapse to
-  at most one cache validate-on-read per lane (the OCC version-stamp check)
-  plus arithmetic hit accounting;
-* the lanes whose stamps went stale recompute **together**: fresh lanes
-  bootstrap their maintained orders through one batched
-  :func:`~repro.core.batch_rank.batched_deterministic_order` call (stacked
-  ``(L, n)`` popularity, per-lane generators — the same batched argsort +
-  exact tie-run repair the batch simulator uses), and the randomized
-  prefix merges share one
-  :func:`~repro.core.batch_rank.batched_prefix_promotion_slots` call (the
-  clipped-cumsum slot algebra) for their coin-to-slot bookkeeping;
+  one :meth:`ServingEngine.serve <repro.serving.engine.ServingEngine.serve>`
+  call per lane (the cache's OCC validate-on-read, and on a miss the
+  engine's own ``top_k`` and store) plus arithmetic hit accounting;
 * served pages, click positions and feedback routing are computed for the
   whole window as array programs (one gather + one CRC per variant per
-  window instead of per query).
+  window instead of per query);
+* the fluid feedback flush of all lanes of one community size is one
+  ``feedback_flush`` kernel call over their stacked ``(L, n)`` state.
 
-Parity is structural where it matters: every lane *is* a real
+Parity is structural: every lane *is* a real
 :class:`~repro.serving.engine.ServingEngine` (same construction order,
-same spawned generators, same cache/state/repair code), and the sweep only
-replaces the per-query outer loop — each engine's generator is consumed in
-exactly the standalone order (order bootstrap → pool mask → merge coins →
-pool sample per recompute; flush and lifecycle draws via the router's own
-methods).  Variants whose configuration defeats window collapsing (no
-cache *and* a randomized policy: every query legitimately re-rolls its
-promotions) fall back to the per-query path lane-by-lane and stay exact.
+same spawned generators), and every served page comes from that engine's
+own ``serve``, so its generator is consumed exactly as in the standalone
+replay.  The sweep only replaces the per-query outer loop.  Variants whose
+configuration defeats window collapsing (no cache *and* a randomized
+policy: every query legitimately re-rolls its promotions) replay query by
+query through ``router.serve`` and ``router.submit_feedback``, the loop
+body of :func:`~repro.simulation.replay.replay_trace`.
 """
 
 from __future__ import annotations
@@ -55,13 +50,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
-from repro.core.batch_rank import (
-    batched_deterministic_order,
-    batched_prefix_promotion_slots,
-)
 from repro.core.kernels import get_backend
 from repro.core.policy import VALID_RULES, RankPromotionPolicy
-from repro.serving.cache import page_key
 from repro.serving.config import ServingConfig, build_router
 from repro.serving.engine import ServingEngine
 from repro.serving.router import ShardedRouter, stable_shard_hash
@@ -260,49 +250,28 @@ def build_variant_router(
     return router
 
 
-class _Lane:
-    """Per-shard serving lane of one variant inside the sweep."""
-
-    __slots__ = ("engine", "key", "k", "per_query")
-
-    def __init__(self, engine: ServingEngine, k: int, per_query: bool) -> None:
-        self.engine = engine
-        self.k = min(int(k), engine.state.n)
-        self.key = page_key(engine.name, self.k, engine._policy_tag)
-        self.per_query = per_query
-
-
 class _LaneGroup:
     """Equal-size lanes whose per-page state shares (L, n) matrices.
 
-    Stacking copies each lane's current arrays into matrix rows and then
-    re-binds the lane's ``PagePool``/``PopularityState`` attributes to the
-    row views, so all later in-place mutations (feedback, lifecycle,
-    awareness seeding) land in the matrices.  ``version`` counters and the
-    page-id/creation arrays stay per-lane — only the arrays the batched
-    kernels address are stacked.
+    A lane is one shard engine of one variant.  Stacking copies each lane's
+    current arrays into matrix rows and then re-binds the lane's
+    ``PagePool``/``PopularityState`` attributes to the row views, so all
+    later in-place mutations (feedback, lifecycle, awareness seeding) land
+    in the matrices.  ``version`` counters and the page-id/creation arrays
+    stay per-lane — only the arrays the batched kernels address are stacked.
     """
 
-    __slots__ = ("lanes", "n", "m", "aware", "popularity", "dirty", "quality")
+    __slots__ = ("n", "m", "aware", "popularity", "dirty", "quality")
 
-    def __init__(self, lanes: List["_Lane"], n: int) -> None:
-        self.lanes = lanes
+    def __init__(self, engines: List[ServingEngine], n: int) -> None:
         self.n = n
-        self.m = lanes[0].engine.state.pool.monitored_population
-        self.aware = np.stack(
-            [lane.engine.state.pool.aware_count for lane in lanes]
-        )
-        self.popularity = np.stack(
-            [lane.engine.state.popularity for lane in lanes]
-        )
-        self.dirty = np.stack(
-            [lane.engine.state._dirty_mask for lane in lanes]
-        )
-        self.quality = np.stack(
-            [lane.engine.state.pool.quality for lane in lanes]
-        )
-        for row, lane in enumerate(lanes):
-            state = lane.engine.state
+        self.m = engines[0].state.pool.monitored_population
+        self.aware = np.stack([engine.state.pool.aware_count for engine in engines])
+        self.popularity = np.stack([engine.state.popularity for engine in engines])
+        self.dirty = np.stack([engine.state._dirty_mask for engine in engines])
+        self.quality = np.stack([engine.state.pool.quality for engine in engines])
+        for row, engine in enumerate(engines):
+            state = engine.state
             state.pool.aware_count = self.aware[row]
             state.pool.quality = self.quality[row]
             state._popularity = self.popularity[row]
@@ -320,14 +289,10 @@ class _VariantReplay:
     ) -> None:
         self.variant = variant
         self.router = router
-        policy = variant.policy()
-        self.deterministic = policy.is_deterministic
         self.per_query = (
-            variant.effective_cache_capacity is None and not self.deterministic
+            variant.effective_cache_capacity is None
+            and not variant.policy().is_deterministic
         )
-        self.lanes = [
-            _Lane(engine, variant.k, self.per_query) for engine in router.engines
-        ]
         self.click_cdf = np.cumsum(attention.visit_shares(max(variant.k, 1)))
         self.shard_table: Optional[np.ndarray] = None  # set by the sweep
         self.pages_crc = 0
@@ -342,16 +307,21 @@ class _VariantReplay:
 
     # ------------------------------------------------------------- windowing
 
-    def route(self, inverse_w: np.ndarray) -> List[Tuple["_VariantReplay", int]]:
-        """Route a window's queries to lanes; return lanes needing recompute.
+    def route(self, inverse_w: np.ndarray) -> None:
+        """Route a window's queries to lanes and serve each lane once.
 
         Serving a lane more than once inside a window repeats the first
         answer: the state version cannot move until the boundary flush, so
-        after the first validate-on-read (or recompute-and-store) every
-        further lookup is a guaranteed cache hit.  Only the first serve per
-        lane is therefore performed for real; the rest become hit-counter
-        arithmetic in :meth:`finish`.
+        after the first ``serve`` (a validate-on-read hit, or a miss that
+        computes and stores the page) every further lookup is a guaranteed
+        cache hit.  Only the first serve per lane is therefore performed for
+        real; the rest become hit-counter arithmetic in :meth:`finish`.
+        Without a cache, a deterministic page is a pure function of the
+        frozen state: one ``serve`` gives the bits the standalone path
+        recomputes for every query.
         """
+        if self.per_query:
+            return  # served query by query in finish()
         if self.shard_table is None:
             shards = _ZERO_SHARDS[: inverse_w.size]
             if shards.size < inverse_w.size:
@@ -360,7 +330,7 @@ class _VariantReplay:
             counts = [inverse_w.size]
         else:
             shards = self.shard_table[inverse_w]
-            tally = np.bincount(shards, minlength=len(self.lanes))
+            tally = np.bincount(shards, minlength=self.router.n_shards)
             # ``nonzero`` skips ``flatnonzero``'s Python-level wrappers;
             # this runs per variant and window.
             lanes = tally.nonzero()[0]
@@ -368,31 +338,10 @@ class _VariantReplay:
         self._w_shards, self._w_lanes, self._w_counts = shards, lanes, counts
         pages = self._w_pages
         pages.clear()
-        if self.per_query:
-            return []  # served query-by-query in finish()
-        stale: List[Tuple["_VariantReplay", int]] = []
+        engines = self.router.engines
+        k = self.variant.k
         for lane_index in lanes.tolist():
-            lane = self.lanes[lane_index]
-            engine = lane.engine
-            if engine.cache is not None:
-                page = engine.cache.lookup(lane.key, engine.state.version)
-                if page is None:
-                    stale.append((self, lane_index))
-                else:
-                    pages[lane_index] = page
-            else:
-                # Deterministic and uncached: the page is a pure function of
-                # the frozen state, recomputed once per window (the
-                # standalone path recomputes it per query to the same bits).
-                stale.append((self, lane_index))
-        return stale
-
-    def store_page(self, lane_index: int, page: np.ndarray) -> None:
-        """Accept a freshly recomputed page for one lane (cache it if any)."""
-        self._w_pages[lane_index] = page
-        engine = self.lanes[lane_index].engine
-        if engine.cache is not None:
-            engine.cache.store(self.lanes[lane_index].key, page, engine._order_version)
+            pages[lane_index] = engines[lane_index].serve(k)
 
     def finish(
         self,
@@ -448,7 +397,7 @@ class _VariantReplay:
                 # way submit_feedback does would be pure overhead).
                 router._pending_indices[lane_index].extend(clicked.tolist())
                 router._pending_visits[lane_index].extend([1.0] * clicked.size)
-                quality = self.lanes[lane_index].engine.state.pool.quality
+                quality = router.engines[lane_index].state.pool.quality
                 self.clicked_quality_sum += float(np.add.reduce(quality[clicked]))
             else:
                 click_rows = row_of_query[clicks]
@@ -468,7 +417,7 @@ class _VariantReplay:
                         continue
                     router._pending_indices[lane_index].extend(values.tolist())
                     router._pending_visits[lane_index].extend([1.0] * values.size)
-                    quality = self.lanes[lane_index].engine.state.pool.quality
+                    quality = router.engines[lane_index].state.pool.quality
                     self.clicked_quality_sum += float(np.add.reduce(quality[values]))
             router.feedback_buffered += int(clicks.size)
             self.feedback_events += int(clicks.size)
@@ -478,7 +427,7 @@ class _VariantReplay:
         per_shard = router.queries_per_shard
         for lane_index, count in zip(lanes, self._w_counts, strict=True):
             per_shard[lane_index] += count
-            engine = self.lanes[lane_index].engine
+            engine = router.engines[lane_index]
             if engine.cache is not None and count > 1:
                 engine.cache.stats.hits += count - 1
 
@@ -488,42 +437,31 @@ class _VariantReplay:
         """Exact per-query window replay for uncached randomized variants.
 
         Every standalone ``serve`` legitimately re-rolls its promotion
-        coins here, so there is nothing to collapse — the loop mirrors
-        :func:`repro.simulation.replay.replay_trace` for this variant's
-        window, consuming each lane's generator query by query.
+        coins here, so there is nothing to collapse: the loop body is that
+        of :func:`repro.simulation.replay.replay_trace` — ``router.serve``,
+        then ``router.submit_feedback`` for a click.
         """
-        shards = self._w_shards
         router = self.router
+        k = self.variant.k
         clicked: List[int] = []
-        for offset in range(end - start):
-            position_in_trace = start + offset
-            lane = self.lanes[int(shards[offset])]
-            page = lane.engine.top_k(lane.k)  # per-query lanes are uncached
+        for position in range(start, end):
+            query_id = int(trace.query_ids[position])
+            page = router.serve(query_id, k)
             self.pages_crc = zlib.crc32(page.tobytes(), self.pages_crc)
-            if trace.coin_u[position_in_trace] < trace.feedback_rate:
+            if trace.coin_u[position] < trace.feedback_rate:
                 rank = int(
                     np.searchsorted(
-                        self.click_cdf,
-                        trace.position_u[position_in_trace],
-                        side="right",
+                        self.click_cdf, trace.position_u[position], side="right"
                     )
                 )
-                rank = min(rank, page.size - 1)
-                clicked.append(int(page[rank]))
-                router._pending_indices[int(shards[offset])].append(clicked[-1])
-                router._pending_visits[int(shards[offset])].append(1.0)
-                router.feedback_buffered += 1
-                self.feedback_events += 1
+                clicked.append(int(page[min(rank, page.size - 1)]))
                 self.clicked_quality_sum += float(
-                    lane.engine.state.pool.quality[clicked[-1]]
+                    router.engines[router.shard_for(query_id)].state.pool.quality[
+                        clicked[-1]
+                    ]
                 )
-        router.queries_routed += end - start
-        per_shard = router.queries_per_shard
-        for shard, count in enumerate(
-            np.bincount(shards, minlength=len(per_shard))
-        ):
-            if count:
-                per_shard[shard] += int(count)
+                router.submit_feedback(query_id, clicked[-1])
+        self.feedback_events += len(clicked)
         if clicked:
             self.clicked_crc = zlib.crc32(
                 np.asarray(clicked, dtype=np.int64).tobytes(), self.clicked_crc
@@ -594,26 +532,24 @@ class ServingSweep:
         but its backing arrays (awareness, materialized popularity, dirty
         mask, quality) become *row views* of one matrix per community
         size.  Engine and state code keeps mutating its rows in place and
-        never notices; the sweep's batched kernels (the fluid feedback
-        flush, and any future batched repair) get to address all lanes of
-        a group through one flat gather/scatter instead of L small ones.
+        never notices; the fluid feedback flush addresses all lanes of a
+        group through one flat gather/scatter instead of L small ones.  A
+        lane alone at its size gets a group of one, so every fluid lane
+        flushes the same way.
         """
-        groups: Dict[Tuple[int, int], List[_Lane]] = {}
+        groups: Dict[Tuple[int, int], List[ServingEngine]] = {}
         for replay in self._replays:
-            for lane in replay.lanes:
-                state = lane.engine.state
+            for engine in replay.router.engines:
+                state = engine.state
                 key = (state.n, state.pool.monitored_population)
-                groups.setdefault(key, []).append(lane)
+                groups.setdefault(key, []).append(engine)
         self._groups: List[_LaneGroup] = []
         self._lane_group: Dict[int, Tuple[int, int]] = {}
-        for (n, _), lanes in sorted(groups.items()):
-            if len(lanes) < 2:
-                continue
-            group = _LaneGroup(lanes, n)
+        for (n, _), engines in sorted(groups.items()):
             group_index = len(self._groups)
-            self._groups.append(group)
-            for row, lane in enumerate(lanes):
-                self._lane_group[id(lane.engine)] = (group_index, row)
+            self._groups.append(_LaneGroup(engines, n))
+            for row, engine in enumerate(engines):
+                self._lane_group[id(engine)] = (group_index, row)
 
     @property
     def routers(self) -> List[ShardedRouter]:
@@ -700,10 +636,8 @@ class ServingSweep:
         )
         positions_u = np.asarray(trace.position_u[start:end])
 
-        stale: List[Tuple[_VariantReplay, int]] = []
         for replay in self._replays:
-            stale.extend(replay.route(inverse_w))
-        self._recompute(stale)
+            replay.route(inverse_w)
         # Click ranks only depend on (attention, k); share the CDF inversion
         # across the variants that request the same page length.
         positions_by_k: Dict[int, np.ndarray] = {}
@@ -723,14 +657,13 @@ class ServingSweep:
         Replicates ``ShardedRouter.flush_feedback`` — the same per-lane
         events, the same per-lane version bump, the same ``flushes``
         accounting — but runs the fluid-mode awareness arithmetic of
-        ``PopularityState.apply_visits_at`` once over the concatenation of
-        every lane's batch instead of once per lane.  Per-page visit sums
+        ``PopularityState.apply_visits_at`` once per lane group, over the
+        concatenation of its lanes' batches.  Per-page visit sums
         use per-lane composite keys, so each lane's touched set, summation
         order and elementwise update are bit-identical to its standalone
         flush.  Stochastic lanes (whose awareness update draws from the
         lane's generator) fall back to the per-lane path.
         """
-        fluid: List[Tuple[ServingEngine, List[int], List[float]]] = []
         grouped: Dict[int, List[Tuple[int, ServingEngine, List[int], List[float]]]] = {}
         for replay in self._replays:
             router = replay.router
@@ -742,13 +675,10 @@ class ServingSweep:
                 visits = router._pending_visits[shard]
                 applied += len(indices)
                 if engine.state.mode == "fluid":
-                    assignment = self._lane_group.get(id(engine))
-                    if assignment is None:
-                        fluid.append((engine, indices, visits))
-                    else:
-                        grouped.setdefault(assignment[0], []).append(
-                            (assignment[1], engine, indices, visits)
-                        )
+                    group_index, row = self._lane_group[id(engine)]
+                    grouped.setdefault(group_index, []).append(
+                        (row, engine, indices, visits)
+                    )
                 else:
                     engine.apply_feedback(
                         np.asarray(indices, dtype=int), np.asarray(visits)
@@ -757,8 +687,6 @@ class ServingSweep:
                 router._pending_visits[shard] = []
             if applied:
                 router.flushes += 1
-        if fluid:
-            self._apply_fluid_feedback(fluid)
         for group_index, entries in grouped.items():
             self._apply_group_feedback(self._groups[group_index], entries)
 
@@ -800,201 +728,6 @@ class ServingSweep:
         )
         for _, engine, _, _ in entries:
             engine.state.version += 1
-
-    @staticmethod
-    def _apply_fluid_feedback(
-        batches: List[Tuple[ServingEngine, List[int], List[float]]]
-    ) -> None:
-        stride = 1 + max(engine.state.n for engine, _, _ in batches)
-        pages: List[int] = []
-        visits: List[float] = []
-        for _, indices, batch_visits in batches:
-            pages += indices
-            visits += batch_visits
-        keys = np.asarray(pages, dtype=np.int64)
-        keys += np.repeat(
-            np.arange(len(batches), dtype=np.int64) * stride,
-            [len(indices) for _, indices, _ in batches],
-        )
-        touched_keys, summed = sum_by_page(keys, np.asarray(visits, dtype=float))
-        # Lane segments of the sorted key space, then one elementwise pass.
-        segments = np.searchsorted(
-            touched_keys, np.arange(len(batches) + 1, dtype=np.int64) * stride
-        )
-        touched = [
-            touched_keys[segments[lane]:segments[lane + 1]] - lane * stride
-            for lane in range(len(batches))
-        ]
-        aware = np.concatenate(
-            [
-                engine.state.pool.aware_count[touched[lane]]
-                for lane, (engine, _, _) in enumerate(batches)
-            ]
-        )
-        populations = np.concatenate(
-            [
-                np.full(
-                    touched[lane].size,
-                    float(engine.state.pool.monitored_population),
-                )
-                for lane, (engine, _, _) in enumerate(batches)
-            ]
-        )
-        # awareness_gain (fluid): gained = (m - aware) * (1 - (1 - 1/m)**v),
-        # elementwise — identical per entry to the per-lane call.
-        gained = (populations - aware) * (
-            1.0 - (1.0 - 1.0 / populations) ** summed
-        )
-        updated = np.minimum(populations, aware + gained)
-        position = 0
-        for lane, (engine, _, _) in enumerate(batches):
-            pages = touched[lane]
-            values = updated[position:position + pages.size]
-            position += pages.size
-            state = engine.state
-            pool = state.pool
-            pool.aware_count[pages] = values
-            # PopularityState._mark_changed, inlined per lane.
-            state._popularity[pages] = (
-                values / pool.monitored_population
-            ) * pool.quality[pages]
-            state._dirty_mask[pages] = True
-            state.version += 1
-
-    def _recompute(self, stale: List[Tuple[_VariantReplay, int]]) -> None:
-        """Refresh and re-serve every lane whose cached page went stale."""
-        if not stale:
-            return
-        engines = [
-            replay.lanes[lane_index].engine for replay, lane_index in stale
-        ]
-        self._bootstrap(
-            [engine for engine in engines if engine._order is None]
-        )
-        self._refresh_stale(
-            [
-                engine
-                for engine in engines
-                if engine._order_version != engine.state.version
-            ]
-        )
-
-        randomized: List[Tuple[_VariantReplay, int]] = []
-        for (replay, lane_index), engine in zip(stale, engines, strict=True):
-            if replay.deterministic:
-                k = replay.lanes[lane_index].k
-                replay.store_page(lane_index, engine._unpromoted_prefix(k))
-            else:
-                randomized.append((replay, lane_index))
-        if randomized:
-            self._serve_randomized(randomized)
-
-    def _refresh_stale(self, engines: List[ServingEngine]) -> None:
-        """Grouped equivalent of per-lane ``_refresh_order`` for dirty lanes.
-
-        Each lane's dirty set goes through the engine's own ``_absorb`` —
-        the step ``_refresh_order`` takes — so the selective-pool refresh,
-        the lazy side-list repair and its compaction are the standalone
-        code.  Only the lanes whose dirty set crosses n/2 re-sort, and
-        those of equal size share one
-        :func:`~repro.core.batch_rank.batched_deterministic_order` call
-        (per-lane tie keys drawn from each lane's own generator, exactly
-        the draws the standalone path makes).
-        """
-        resorts: Dict[int, List[ServingEngine]] = {}
-        for engine in engines:
-            state = engine.state
-            if engine._absorb(state.consume_dirty()):
-                resorts.setdefault(state.n, []).append(engine)
-            engine._order_version = state.version
-        for group in resorts.values():
-            popularity = np.stack([engine.state.popularity for engine in group])
-            orders = batched_deterministic_order(
-                popularity,
-                None,
-                "random",
-                [engine.rng for engine in group],
-            )
-            for row, engine in enumerate(group):
-                engine._install_order(orders[row].copy())
-
-    def _bootstrap(self, engines: List[ServingEngine]) -> None:
-        """Batch-build the maintained orders of first-served lanes.
-
-        Mirrors the first branch of ``ServingEngine._refresh_order`` —
-        per-lane tie-key draw, descending sort, selective-pool snapshot,
-        dirty consumption, version stamp — but runs the sort as one
-        batched argsort + exact tie-run repair per community size.
-        """
-        groups: Dict[int, List[ServingEngine]] = {}
-        for engine in engines:
-            groups.setdefault(engine.state.n, []).append(engine)
-        for group in groups.values():
-            if len(group) == 1:
-                group[0]._refresh_order()
-                continue
-            popularity = np.stack([engine.state.popularity for engine in group])
-            orders = batched_deterministic_order(
-                popularity,
-                None,
-                "random",
-                [engine.rng for engine in group],
-            )
-            for row, engine in enumerate(group):
-                engine._install_order(orders[row].copy())
-                if engine._selective:
-                    engine._promoted_mask = (
-                        engine.state.pool.aware_count < 1.0 - 1e-9
-                    )
-                engine.state.consume_dirty()
-                engine._order_version = engine.state.version
-
-    def _serve_randomized(
-        self, lanes: List[Tuple[_VariantReplay, int]]
-    ) -> None:
-        """Recompute randomized prefix pages for many lanes at once.
-
-        Per lane, the generator is consumed in the standalone ``top_k``
-        order — promotion-pool mask, merge coins, pool sample — while the
-        coin-to-slot bookkeeping of every lane runs through one
-        clipped-cumsum kernel call.
-        """
-        served = [replay.lanes[lane_index] for replay, lane_index in lanes]
-        flips = np.zeros((len(lanes), max(lane.k for lane in served)), dtype=bool)
-        masks: List[np.ndarray] = []
-        pools: List[int] = []
-        for row, ((replay, _), lane) in enumerate(zip(lanes, served, strict=True)):
-            engine = lane.engine
-            mask = engine._promotion_pool_mask(engine.rng)
-            masks.append(mask)
-            pools.append(np.count_nonzero(mask))
-            protected = min(replay.variant.promote_k - 1, lane.k)
-            open_slots = lane.k - protected
-            if open_slots > 0:
-                flips[row, protected:lane.k] = (
-                    engine.rng.random(open_slots) < replay.variant.r
-                )
-        n_promoted = np.asarray(pools, dtype=np.int64)
-        n_deterministic = np.asarray([mask.size for mask in masks]) - n_promoted
-        slots_matrix = batched_prefix_promotion_slots(
-            flips, n_deterministic, n_promoted
-        )
-        for row, ((replay, lane_index), lane) in enumerate(
-            zip(lanes, served, strict=True)
-        ):
-            engine = lane.engine
-            slots = slots_matrix[row, : lane.k]
-            promoted_count = np.count_nonzero(slots)
-            deterministic = engine._unpromoted_prefix(
-                lane.k - promoted_count, masks[row]
-            )
-            promoted = engine._sample_pool(
-                engine.rng, masks[row], pools[row], promoted_count
-            )
-            page = np.empty(lane.k, dtype=int)
-            page[slots] = promoted
-            page[~slots] = deterministic
-            replay.store_page(lane_index, page)
 
 
 @dataclass
@@ -1174,7 +907,6 @@ def run_sweep_benchmark(
     warm_awareness: bool = True,
     check_parity: bool = True,
     sweep_repetitions: int = 3,
-    backend: Optional[str] = None,
     telemetry_window: Optional[int] = None,
     telemetry_out: Optional[str] = None,
 ) -> Dict[str, float]:
@@ -1194,26 +926,13 @@ def run_sweep_benchmark(
     a load spike or GC pause on a shared CI runner then hits both sides of
     the ratio alike instead of flaking it.
 
-    ``backend`` pins a kernel backend for this run (``None`` keeps the
-    process default); the report's ``kernel_backend`` entry names the one
-    that actually ran, tagging the benchmark JSON for the regression gate.
+    The report's ``kernel_backend`` entry names the kernel backend that
+    ran, tagging the benchmark JSON for the regression gate.
     """
     import gc
 
-    from repro.core.kernels import get_backend, use_backend
     from repro.simulation.replay import replay_trace
 
-    if backend is not None:
-        with use_backend(backend):
-            return run_sweep_benchmark(
-                n_pages=n_pages, n_queries=n_queries, variants=variants,
-                seed=seed, feedback_rate=feedback_rate,
-                flush_every=flush_every, zipf_exponent=zipf_exponent,
-                n_distinct_queries=n_distinct_queries, day_every=day_every,
-                n_workers=n_workers, warm_awareness=warm_awareness,
-                check_parity=check_parity, sweep_repetitions=sweep_repetitions,
-                telemetry_window=telemetry_window, telemetry_out=telemetry_out,
-            )
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
     community = DEFAULT_COMMUNITY.scaled(n_pages)

@@ -70,12 +70,14 @@ def _run_replicates(
 ) -> List[SimulationResult]:
     """Run all repetitions of one configuration; one result per replicate.
 
+    The replicate streams are spawned from ``seed`` (default
+    ``config.seed``, as :func:`~repro.simulation.batch.run_batch` does).
     ``spawn_rngs`` hands replicate ``r`` the same generator regardless of
     the engine, so the two paths agree replicate-for-replicate.
     """
     if engine not in VALID_ENGINES:
         raise ValueError("engine must be one of %s, got %r" % (VALID_ENGINES, engine))
-    rngs = spawn_rngs(seed, repetitions)
+    rngs = spawn_rngs(seed if seed is not None else config.seed, repetitions)
     if engine == "sequential":
         return [
             _run_once(community, policy, config, attention, surfing, rng)
@@ -187,6 +189,7 @@ def popularity_trajectory(
         warmup_days=base.warmup_days,
         measure_days=base.measure_days,
         mode=base.mode,
+        seed=base.seed,
         probe_quality=probe_quality,
         probe_horizon_days=horizon_days,
         snapshot_awareness=False,

@@ -36,7 +36,11 @@ from repro.core.rankers import (
 from repro.core.rankers_context import BatchRankingContext, RankingContext
 from repro.simulation import BatchSimulator, SimulationConfig, Simulator, run_batch
 from repro.simulation.bench import run_simulation_benchmark
-from repro.simulation.runner import _run_replicates, measure_qpc
+from repro.simulation.runner import (
+    _run_replicates,
+    measure_qpc,
+    popularity_trajectory,
+)
 from repro.utils.rng import spawn_rngs
 from repro.visits.attention import PowerLawAttention
 
@@ -136,6 +140,28 @@ class TestFluidParity:
         by_loop = measure_qpc(batch_community, policy, config,
                               repetitions=3, seed=5, engine="sequential")
         assert by_batch == by_loop
+
+    def test_config_seed_is_the_default_seed(self, batch_community):
+        """Without ``seed``, the replicate streams come from ``config.seed``."""
+        policy = RankPromotionPolicy("selective", 1, 0.1)
+        config = SimulationConfig(warmup_days=20, measure_days=20, mode="fluid", seed=0)
+        first = measure_qpc(batch_community, policy, config, repetitions=2)
+        second = measure_qpc(batch_community, policy, config, repetitions=2)
+        by_loop = measure_qpc(
+            batch_community, policy, config, repetitions=2, engine="sequential"
+        )
+        assert first == second == by_loop
+        assert first == measure_qpc(
+            batch_community, policy, config, repetitions=2, seed=0
+        )
+        trajectories = [
+            popularity_trajectory(
+                batch_community, policy, horizon_days=10, config=config,
+                repetitions=2,
+            )
+            for _ in range(2)
+        ]
+        assert np.array_equal(*trajectories)
 
     def test_invalid_engine_rejected(self, batch_community):
         with pytest.raises(ValueError):

@@ -287,12 +287,15 @@ class TestNumpyKernelSemantics:
 
         Every repair the sweep counts is one absorb call that repaired a
         dirty set lazily, and the sweep counts as many repairs as the
-        variants' standalone replays do.
+        variants' standalone replays do.  Every page the sweep computes
+        comes from the engine's own ``top_k``: one call per cache miss.
         """
         from test_sweep import make_trace
 
         lazy = []
+        computed = []
         absorb = ServingEngine._absorb
+        top_k = ServingEngine.top_k
 
         def absorb_spy(engine, dirty):
             resort = absorb(engine, dirty)
@@ -300,10 +303,15 @@ class TestNumpyKernelSemantics:
                 lazy.append(dirty.size)
             return resort
 
+        def top_k_spy(engine, k, rng=None):
+            computed.append(k)
+            return top_k(engine, k, rng)
+
         def lane_repair_spy(self, orders, popularity, dirty):
             raise AssertionError("the sweep called lane_repair")
 
         monkeypatch.setattr(ServingEngine, "_absorb", absorb_spy)
+        monkeypatch.setattr(ServingEngine, "top_k", top_k_spy)
         monkeypatch.setattr(type(NUMPY_BACKEND), "lane_repair", lane_repair_spy)
         variants = [
             SweepVariant(k=8, r=0.1, cache_capacity=16, staleness_budget=0),
@@ -319,6 +327,9 @@ class TestNumpyKernelSemantics:
         )
         assert repairs > 0, "workload produced no repairs"
         assert len(lazy) == repairs, "some repairs bypassed the absorb step"
+        misses = sum(router.stats()["cache_misses"] for router in sweep.routers)
+        assert misses > 0
+        assert len(computed) == misses, "some pages bypassed ServingEngine.top_k"
         standalone = 0
         for index, variant in enumerate(variants):
             router = build_variant_router(

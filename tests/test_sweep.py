@@ -6,8 +6,7 @@ lockstep :class:`ServingSweep` must produce a bit-identical
 per-query ground-truth loop (:func:`repro.simulation.replay.replay_trace`)
 at equal seeds — served pages, clicked pages, cache counters, routing
 counters, final awareness state and version stamps.  The rest covers the
-trace recording, the grid helpers, the prefix slot algebra reused from
-``repro.core.batch_rank``, and the multi-process variant sharding.
+trace recording, the grid helpers and the multi-process variant sharding.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community import CommunityConfig
-from repro.core.batch_rank import batched_prefix_promotion_slots
 from repro.serving.sweep import (
     ServingSweep,
     SweepVariant,
@@ -192,7 +190,7 @@ def test_row_parity_with_ragged_page_lengths():
         SweepVariant(k=46, r=0.0, cache_capacity=8, n_shards=2),
     ]
     sweep = ServingSweep(community, variants, seed=4)
-    assert [lane.k for lane in sweep._replays[0].lanes] == [46, 45]
+    assert [engine.state.n for engine in sweep.routers[0].engines] == [46, 45]
     assert_row_parity(community, variants, make_trace(feedback_rate=0.6), seed=4)
 
 
@@ -234,47 +232,6 @@ def test_any_single_sweep_row_equals_standalone_replay(
     router = build_variant_router(community, variant, variant_seed(seed, 0))
     reference = replay_trace(router, trace, variant.k)
     assert result.matches(reference)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_prefix_slots_match_sequential_merge_prefix(data):
-    """The clipped-cumsum slot algebra equals the serving engine's
-    ``_merge_prefix`` slot construction for every drain case with k <= n."""
-    n = data.draw(st.integers(min_value=1, max_value=40), label="n")
-    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
-    pool = data.draw(st.integers(min_value=0, max_value=n), label="pool")
-    protected = data.draw(st.integers(min_value=0, max_value=k), label="protected")
-    flip_bits = data.draw(
-        st.lists(st.booleans(), min_size=k - protected, max_size=k - protected),
-        label="flips",
-    )
-    flips_open = np.asarray(flip_bits, dtype=bool)
-
-    # Reference: the slot construction of ServingEngine._merge_prefix.
-    n_unpromoted = n - pool
-    s = min(int(flips_open.sum()), pool)
-    if k - s > n_unpromoted:
-        s = min(k - n_unpromoted, pool)
-    slots_reference = np.zeros(k, dtype=bool)
-    flip_true = np.flatnonzero(flips_open) + protected
-    if s < flip_true.size:
-        flip_true = flip_true[:s]
-    slots_reference[flip_true] = True
-    short = s - flip_true.size
-    if short > 0:
-        tail_false = np.flatnonzero(~slots_reference)[-short:]
-        slots_reference[tail_false] = True
-
-    flips_full = np.zeros((1, k), dtype=bool)
-    flips_full[0, protected:] = flips_open
-    slots_batched = batched_prefix_promotion_slots(
-        flips_full,
-        np.asarray([n_unpromoted]),
-        np.asarray([pool]),
-    )[0]
-    np.testing.assert_array_equal(slots_batched, slots_reference)
-    assert int(slots_batched.sum()) == s
 
 
 # ------------------------------------------------------- grids and plumbing
