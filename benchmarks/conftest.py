@@ -27,7 +27,6 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 #: Serving metrics copied into pytest-benchmark ``extra_info`` (and thus the
 #: shared ``--benchmark-json`` output) when present in a stats dictionary.
 SERVING_INFO_KEYS = (
-    "kernel_backend",
     "n_pages_total",
     "k",
     "queries",
@@ -52,7 +51,6 @@ SERVING_INFO_KEYS = (
 #: benchmark: recovery correctness gates plus the fault/degradation
 #: accounting that explains a run.
 CHAOS_INFO_KEYS = (
-    "kernel_backend",
     "n_pages",
     "n_queries",
     "n_shards",
@@ -83,7 +81,6 @@ CHAOS_INFO_KEYS = (
 #: invariant bits (organic conflicts, zero lost visits, backpressure) and
 #: the accounting that explains them.
 POOL_INFO_KEYS = (
-    "kernel_backend",
     "tenants",
     "workers",
     "clients",

@@ -33,7 +33,6 @@ BATCH_BENCH_DAYS = {
 
 #: Metrics copied into pytest-benchmark ``extra_info`` for the JSON output.
 BATCH_INFO_KEYS = (
-    "kernel_backend",
     "n_pages",
     "replicates",
     "baseline_replicates",

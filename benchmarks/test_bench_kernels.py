@@ -1,39 +1,26 @@
-"""Per-kernel micro-benchmarks for the backend-dispatched kernel layer.
+"""Per-kernel micro-benchmarks for the numpy kernel layer.
 
-Each benchmark times one kernel of the active backend (selected by
-``REPRO_KERNEL_BACKEND``, the CI matrix sets it per leg) against the
-*unfused* sequential reference — the per-row/per-lane single-community
-code the kernel replaced — on identical inputs, asserts bit parity
-between the two paths, and exports the fused-vs-unfused throughput ratio
-in ``extra_info``.  The ratios are in-process comparisons of two code
-paths doing identical work, so they are machine-independent and safe to
-gate: ``benchmarks/baselines/bench-floor.json`` carries their floors and
+Each benchmark times one kernel against the *unbatched* sequential
+reference — the per-row/per-lane single-community code the kernel
+replaced — on identical inputs, asserts bit parity between the two
+paths, and exports the batched-vs-unbatched throughput ratio in
+``extra_info``.  The ratios are in-process comparisons of two code paths
+doing identical work, so they are machine-independent and safe to gate:
+``benchmarks/baselines/bench-floor.json`` carries their floors and
 ``check_regression.py`` fails CI when one drops.
 
-When numba is installed, :func:`test_bench_kernel_numba_day_throughput`
-additionally measures whole batch-day throughput numba-vs-numpy and
-asserts the acceptance bar of the kernel-dispatch PR: the fused backend
-must sustain **>= 1.5x** the numpy backend's day throughput on the 1-core
-reference container, with bit-identical results.  (Not gated in the
-baseline file — it only exists on the numba CI leg.)
-
-Every timed region runs after ``backend.warmup()`` plus one untimed call
-of both paths, so JIT compilation never lands inside a measurement.
+Every timed region runs after one untimed call of both paths.
 """
 
 import time
 
 import numpy as np
-import pytest
 
-from repro.community.config import DEFAULT_COMMUNITY
 from repro.community.page import awareness_gain
-from repro.core.kernels import available_backends, get_backend, use_backend
+from repro.core.kernels import get_backend
 from repro.core.kernels.numpy_backend import merge_repair
 from repro.core.merge import randomized_merge
-from repro.core.policy import RankPromotionPolicy
 from repro.core.rankers import _deterministic_order
-from repro.simulation import BatchSimulator, SimulationConfig
 from repro.utils.rng import spawn_rngs
 from repro.visits.allocation import allocate_monitored_visits, rank_visit_shares
 from repro.visits.attention import PowerLawAttention
@@ -58,7 +45,6 @@ LANE_BENCH_SIZES = {
 REPEATS = 5
 
 KERNEL_INFO_KEYS = (
-    "kernel_backend",
     "replicates",
     "n_pages",
     "speedup_rank_day_vs_perrow",
@@ -66,14 +52,9 @@ KERNEL_INFO_KEYS = (
     "speedup_day_tail_vs_perrow",
     "speedup_lane_repair_vs_perlane",
     "speedup_feedback_flush_vs_perlane",
-    "speedup_numba_vs_numpy_day",
     "blocked_vs_unblocked_tail_ratio",
     "parity_bit_identical",
 )
-
-#: Acceptance bar for the numba backend's whole-day throughput (the
-#: kernel-dispatch PR's criterion, asserted on the numba CI leg).
-MIN_NUMBA_DAY_SPEEDUP = 1.5
 
 #: The blocked-tail bench's shape: the day tail's temporaries only leave
 #: cache at large R*n, so this bench pins R=32/n=10k instead of scaling
@@ -115,7 +96,6 @@ def _realistic_scores(rng, R, n):
 
 def bench_rank_day():
     backend = get_backend()
-    backend.warmup()
     rng = np.random.default_rng(BENCH_SEED)
     R, n = _shape()
     scores = _realistic_scores(rng, R, n)
@@ -141,7 +121,6 @@ def bench_rank_day():
         lambda: backend.rank_day(scores, None, "random", batch_rngs)
     )
     return {
-        "kernel_backend": backend.name,
         "replicates": float(R),
         "n_pages": float(n),
         "parity_bit_identical": 1.0 if parity else 0.0,
@@ -151,7 +130,6 @@ def bench_rank_day():
 
 def bench_promotion_merge():
     backend = get_backend()
-    backend.warmup()
     rng = np.random.default_rng(BENCH_SEED)
     R, n = _shape()
     k, r = 1, 0.2
@@ -180,7 +158,6 @@ def bench_promotion_merge():
         lambda: backend.promotion_merge(perms, mask, k, r, batch_rngs)
     )
     return {
-        "kernel_backend": backend.name,
         "replicates": float(R),
         "n_pages": float(n),
         "parity_bit_identical": 1.0 if parity else 0.0,
@@ -190,7 +167,6 @@ def bench_promotion_merge():
 
 def bench_day_tail():
     backend = get_backend()
-    backend.warmup()
     rng = np.random.default_rng(BENCH_SEED)
     R, n = _shape()
     rate, m = 25.0, 100
@@ -223,7 +199,6 @@ def bench_day_tail():
     seq_seconds = _best_of(lambda: perrow(aware_seq))
     batch_seconds = _best_of(lambda: batched(aware_batch))
     return {
-        "kernel_backend": backend.name,
         "replicates": float(R),
         "n_pages": float(n),
         "parity_bit_identical": 1.0 if parity else 0.0,
@@ -248,7 +223,6 @@ def _lane_repair_inputs():
 
 def bench_lane_repair():
     backend = get_backend()
-    backend.warmup()
     orders, pops, dirties = _lane_repair_inputs()
     lanes, n, dirty_size, _ = _lane_shape()
 
@@ -268,7 +242,6 @@ def bench_lane_repair():
     seq_seconds = _best_of(perlane)
     batch_seconds = _best_of(lambda: backend.lane_repair(orders, pops, dirties))
     return {
-        "kernel_backend": backend.name,
         "replicates": float(lanes),
         "n_pages": float(n),
         "parity_bit_identical": 1.0 if parity else 0.0,
@@ -278,7 +251,6 @@ def bench_lane_repair():
 
 def bench_feedback_flush():
     backend = get_backend()
-    backend.warmup()
     rng = np.random.default_rng(BENCH_SEED)
     lanes, n, _, events = _lane_shape()
     m = 100
@@ -330,7 +302,6 @@ def bench_feedback_flush():
                         np.zeros((lanes, n), bool))
     )
     return {
-        "kernel_backend": backend.name,
         "replicates": float(lanes),
         "n_pages": float(n),
         "parity_bit_identical": 1.0 if parity else 0.0,
@@ -339,13 +310,7 @@ def bench_feedback_flush():
 
 
 def bench_blocked_tail():
-    """Row-blocked numpy day tail vs the unblocked chain, with bit parity.
-
-    Pinned to the numpy backend on every CI leg (the blocked tail is a
-    numpy-backend optimization; the numba backend fuses the tail into JIT
-    nests instead), so the gated ratio measures the same two code paths
-    everywhere.
-    """
+    """Row-blocked numpy day tail vs the unblocked chain, with bit parity."""
     from repro.core.kernels.api import KernelBackend
     from repro.core.kernels.numpy_backend import BACKEND as numpy_backend
 
@@ -381,57 +346,10 @@ def bench_blocked_tail():
     unblocked_seconds = _best_of(lambda: unblocked(aware_a))
     blocked_seconds = _best_of(lambda: blocked(aware_b))
     return {
-        "kernel_backend": get_backend().name,
         "replicates": float(R),
         "n_pages": float(n),
         "parity_bit_identical": 1.0 if parity else 0.0,
         "blocked_vs_unblocked_tail_ratio": unblocked_seconds / blocked_seconds,
-    }
-
-
-def bench_numba_day_throughput():
-    """Whole-day throughput, numba backend vs numpy backend, with parity."""
-    R, n = _shape()
-    days = 12
-    community = DEFAULT_COMMUNITY.scaled(n)
-    policy = RankPromotionPolicy("selective", 1, 0.1)
-    config = SimulationConfig(warmup_days=0, measure_days=days, mode="fluid",
-                              seed=BENCH_SEED)
-    seconds = {}
-    aware = {}
-    for name in ("numpy", "numba"):
-        with use_backend(name):
-            backend = get_backend()
-            backend.warmup()
-            # Untimed warm run: touches every kernel at the bench shape.
-            # One replicate block on both legs: numpy would otherwise step
-            # default_workers(R) blocks on threads while numba runs one, and
-            # the ratio would compare core counts instead of kernels.
-            warm = BatchSimulator(community, policy.build_ranker(), config,
-                                  replicates=R, n_workers=1)
-            warm.step()
-            # Best-of repeats, like every other bench here: one noisy-
-            # neighbor stall inside a single timed loop must not flake the
-            # hard 1.5x acceptance assert on a shared CI runner.
-            best = float("inf")
-            for _ in range(3):
-                simulator = BatchSimulator(
-                    community, policy.build_ranker(), config, replicates=R,
-                    n_workers=1,
-                )
-                started = time.perf_counter()
-                for _ in range(days):
-                    simulator.step()
-                best = min(best, time.perf_counter() - started)
-            seconds[name] = best
-            aware[name] = simulator.pool.aware_count.copy()
-    parity = bool(np.array_equal(aware["numpy"], aware["numba"]))
-    return {
-        "kernel_backend": "numba",
-        "replicates": float(R),
-        "n_pages": float(n),
-        "parity_bit_identical": 1.0 if parity else 0.0,
-        "speedup_numba_vs_numpy_day": seconds["numpy"] / seconds["numba"],
     }
 
 
@@ -455,7 +373,7 @@ def test_bench_kernel_day_tail(benchmark):
     # the per-row reference stayed L1-resident) to ~1.7x on the reference
     # container; the floor stays conservative because a runner whose
     # last-level cache holds the whole working set sees both paths
-    # converge.  The numba leg fuses the tail into JIT nests instead.
+    # converge.
     assert report["speedup_day_tail_vs_perrow"] > 0.5
 
 
@@ -464,7 +382,7 @@ def test_bench_kernel_lane_repair(benchmark):
     assert report["parity_bit_identical"] == 1.0
     # The numpy backend's grouped call does the same per-lane work (shared
     # scratch, one dispatch); the floor guards against the grouped path
-    # growing overhead.  The numba backend runs it as one JIT loop nest.
+    # growing overhead.
     assert report["speedup_lane_repair_vs_perlane"] > 0.7
 
 
@@ -483,16 +401,3 @@ def test_bench_kernel_blocked_tail(benchmark):
     # hard assert only pins "blocking never loses" and the gate floor
     # (bench-floor.json) watches the ratio itself.
     assert report["blocked_vs_unblocked_tail_ratio"] > 0.85
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(),
-    reason="numba not installed (optional backend)",
-)
-def test_bench_kernel_numba_day_throughput(benchmark):
-    """Acceptance bar: fused numba day >= 1.5x numpy day, bit-identical."""
-    report = run_report_once(
-        benchmark, bench_numba_day_throughput, KERNEL_INFO_KEYS
-    )
-    assert report["parity_bit_identical"] == 1.0
-    assert report["speedup_numba_vs_numpy_day"] >= MIN_NUMBA_DAY_SPEEDUP

@@ -31,7 +31,6 @@ SWEEP_BENCH_SIZES = {
 
 #: Metrics copied into pytest-benchmark ``extra_info`` for the JSON output.
 SWEEP_INFO_KEYS = (
-    "kernel_backend",
     "n_pages",
     "queries",
     "replicates",

@@ -15,7 +15,6 @@ from repro.serving.bench import measure_telemetry_overhead
 from conftest import run_report_once
 
 TELEMETRY_INFO_KEYS = (
-    "kernel_backend",
     "n_pages",
     "queries",
     "telemetry_window",

@@ -166,15 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'fast' a proportionally scaled-down one, 'smoke' a tiny sanity run",
     )
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="kernel backend for serve-bench/sim-bench/sweep-bench (default: "
-        "the REPRO_KERNEL_BACKEND environment variable, else numpy; "
-        "requesting numba without the package installed warns once and "
-        "falls back to numpy)",
-    )
 
     add_serving_config_args(parser)
 
@@ -291,23 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_backend(args: argparse.Namespace) -> None:
-    """Pin the kernel backend requested by ``--backend`` for this process.
-
-    The name is exported through ``REPRO_KERNEL_BACKEND`` as well so
-    process-pool workers (replicate/variant sharding) resolve the same
-    backend as the parent.
-    """
-    if args.backend is None:
-        return
-    import os
-
-    from repro.core.kernels import ENV_VAR, set_backend
-
-    os.environ[ENV_VAR] = args.backend
-    set_backend(args.backend)
-
-
 def run_serve_bench(args: argparse.Namespace) -> int:
     """Run the serving benchmark and print its metrics table.
 
@@ -320,7 +294,6 @@ def run_serve_bench(args: argparse.Namespace) -> int:
     from repro.serving.bench import run_serving_benchmark
     from repro.utils.tables import Table
 
-    _apply_backend(args)
     if args.workers is not None and args.workers > 0:
         from repro.serving.pool import run_pool_benchmark
 
@@ -388,7 +361,6 @@ def run_chaos_bench(args: argparse.Namespace) -> int:
     from repro.robustness.occ import RetryPolicy
     from repro.utils.tables import Table
 
-    _apply_backend(args)
     if args.fault_plan is not None:
         plan = FaultPlan.load(args.fault_plan)
     else:
@@ -454,7 +426,6 @@ def run_sim_bench(args: argparse.Namespace) -> int:
         "uniform": RankPromotionPolicy("uniform", 1, 0.1),
         "none": RankPromotionPolicy("none", 1, 0.0),
     }[args.policy]
-    _apply_backend(args)
     report = run_simulation_benchmark(
         community=community,
         policy=policy,
@@ -501,7 +472,6 @@ def run_sweep_bench(args: argparse.Namespace) -> int:
         ),
         cache_capacity=args.sweep_cache_size if args.sweep_cache_size > 0 else None,
     )
-    _apply_backend(args)
     report = run_sweep_benchmark(
         n_pages=args.sweep_pages,
         n_queries=args.sweep_queries,
@@ -554,7 +524,6 @@ def run_sweep_fig(args: argparse.Namespace) -> int:
         ),
         cache_capacity=args.sweep_cache_size if args.sweep_cache_size > 0 else None,
     )
-    _apply_backend(args)
     community = DEFAULT_COMMUNITY.scaled(args.sweep_pages)
     workload = StreamingWorkload(
         WorkloadConfig(

@@ -1,12 +1,13 @@
 """The contract linter's core: findings, rules, suppressions, file checks.
 
 The repository's load-bearing invariants — every RNG draw comes from a
-caller-threaded seeded generator, numba kernels keep RNG and the pow
-ufunc on numpy, shared popularity arrays mutate only through the OCC
-commit contract, the telemetry schema is append-only — have historically
-lived in docstrings and runtime tests.  This package turns each of them
-into an AST-based static check that runs *before* the test suite, the
-way production stacks wire sanitizers and custom lints into CI.
+caller-threaded seeded generator, the batch hooks that replicate-block
+threads share keep no per-call state, shared popularity arrays mutate
+only through the OCC commit contract, the telemetry schema is
+append-only — have historically lived in docstrings and runtime tests.
+This package turns each of them into an AST-based static check that runs
+*before* the test suite, the way production stacks wire sanitizers and
+custom lints into CI.
 
 Two rule shapes exist:
 
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Bump when rule semantics change: invalidates every cached file result.
-CONTRACTS_VERSION = "1"
+CONTRACTS_VERSION = "2"
 
 _SUPPRESSION_RE = re.compile(
     r"#\s*contracts:\s*ignore\[(?P<rules>[a-z0-9*,\s-]+)\]"

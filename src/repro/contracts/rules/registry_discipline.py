@@ -1,17 +1,14 @@
-"""kernel-registry-discipline: backends resolve through the registry.
+"""kernel-registry-discipline: the backend resolves through the registry.
 
-Backend selection (``REPRO_KERNEL_BACKEND``, ``--backend``, the numba
-import-failure fallback, telemetry's span instrumentation proxy) all
-live in ``repro.core.kernels.get_backend``/``use_backend``.  A module
-that imports ``numpy_backend``/``numba_backend`` symbols directly pins
-one backend, skips the fallback path, and — worse — bypasses the
-instrumentation hook, so its kernel calls vanish from the span table.
-Shared helpers the engines legitimately need (``merge_repair``,
-``ROUTE_STATS``) are re-exported by ``repro.core.kernels`` itself;
-import them from there.
+Telemetry's span proxy wraps the kernel backend at dispatch time, in
+``repro.core.kernels.get_backend``.  A module that imports
+``numpy_backend`` symbols directly bypasses that instrumentation hook, so
+its kernel calls vanish from the span table.  Shared helpers the engines
+legitimately need (``merge_repair``, ``ROUTE_STATS``) are re-exported by
+``repro.core.kernels`` itself; import them from there.
 
-Tests and benchmarks are exempt by scope: parity suites compare the two
-backend singletons on purpose.
+Tests and benchmarks are exempt by scope: parity suites and the
+benchmark tracer reach the raw backend module on purpose.
 """
 
 from __future__ import annotations
@@ -21,15 +18,15 @@ from typing import List
 
 from repro.contracts.core import FileContext, FileRule, Finding, register
 
-_BACKEND_MODULES = ("numpy_backend", "numba_backend")
+_BACKEND_MODULES = ("numpy_backend",)
 
 
 @register
 class KernelRegistryDiscipline(FileRule):
     rule_id = "kernel-registry-discipline"
     description = (
-        "obtain backends via get_backend/use_backend; never import "
-        "numpy_backend/numba_backend symbols outside core/kernels"
+        "obtain the backend via get_backend; never import numpy_backend "
+        "symbols outside core/kernels"
     )
     origin = "PR 4: kernel dispatch registry with fallback + instrumentation"
     include = ("src/repro/",)
@@ -56,8 +53,7 @@ class KernelRegistryDiscipline(FileRule):
         return ctx.finding(
             self.rule_id,
             node,
-            "direct import of %s pins one backend and bypasses the "
-            "registry's fallback and instrumentation; use "
-            "repro.core.kernels.get_backend/use_backend (shared helpers "
-            "are re-exported by repro.core.kernels)" % module,
+            "direct import of %s bypasses the registry's instrumentation "
+            "hook; use repro.core.kernels.get_backend (shared helpers are "
+            "re-exported by repro.core.kernels)" % module,
         )

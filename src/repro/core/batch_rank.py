@@ -7,21 +7,19 @@ same per-replicate generator, same result bit for bit — while doing the
 heavy lifting (sorting, cumulative merge bookkeeping, gathers) across all
 rows at once.
 
-Since the kernel-dispatch refactor the implementations live behind the
-:mod:`repro.core.kernels` backend API: :func:`batched_deterministic_order`
-and :func:`batched_promotion_merge` are thin dispatchers onto the active
-backend's ``rank_day`` / ``promotion_merge`` kernels (the numpy reference
-backend carries the original code verbatim; the optional numba backend
-fuses the same math into JIT loop nests).  The shared helpers that every
-backend builds on — the flat row-wise gather and the clipped-cumsum merge
-algebra — stay here.
+The implementations live in the numpy kernel backend
+(:mod:`repro.core.kernels`): :func:`batched_deterministic_order` and
+:func:`batched_promotion_merge` are thin dispatchers onto its
+``rank_day`` / ``promotion_merge`` kernels.  The helpers those kernels
+build on — the flat row-wise gather and the clipped-cumsum merge algebra —
+stay here.
 
-Exactness argument for the deterministic order (implemented by the
-backends): the sequential ``_deterministic_order`` is ``np.lexsort`` over
-``(tie_key, -scores)`` (or the age/index variants), i.e. the unique
+Exactness argument for the deterministic order (implemented by
+``rank_day``): the sequential ``_deterministic_order`` is ``np.lexsort``
+over ``(tie_key, -scores)`` (or the age/index variants), i.e. the unique
 ordering by the composite key ``(-score, tie, index)``.  Any sorting
 algorithm that realises that total order returns the same permutation, so
-backends are free to use the fastest route: an unstable batched quicksort
+the kernel is free to use the fastest route: an unstable batched quicksort
 on the primary key alone, followed by an exact repair of every run of
 equal primary keys using the secondary/tertiary keys.  Ties are rare in
 fluid mode (only freshly replaced pages share popularity zero) but can be
@@ -81,7 +79,7 @@ def batched_deterministic_order(
 ) -> np.ndarray:
     """Batched equivalent of ``rankers._deterministic_order`` row by row.
 
-    Dispatches to the active kernel backend's ``rank_day``.
+    Dispatches to the kernel backend's ``rank_day``.
 
     Args:
         scores: ``(R, n)`` ranking scores (higher is better).
@@ -127,7 +125,7 @@ def batched_promotion_merge(
 ) -> np.ndarray:
     """Batched equivalent of the sequential randomized merge, row by row.
 
-    Dispatches to the active kernel backend's ``promotion_merge``.  For
+    Dispatches to the kernel backend's ``promotion_merge``.  For
     each row this reproduces ``randomized_merge(deterministic, promoted,
     k, r, rng)`` exactly: the promotion pool is the masked subsequence of
     the deterministic order, shuffled with the row's generator, and merged

@@ -1,44 +1,18 @@
-"""Backend-dispatched compute kernels for the repository's hot paths.
+"""Compute kernels for the repository's hot paths.
 
-The batch simulator's ``(R, n)`` day step, the lockstep sweep's
-flush-window advance and the serving order maintenance all route their
-array math through one :class:`~repro.core.kernels.api.KernelBackend`.
-Two backends ship:
+The batch simulator's ``(R, n)`` day step, the sweep's feedback flushes
+and the serving state's commits all route their array math through one
+:class:`~repro.core.kernels.api.KernelBackend`: the numpy backend
+(:mod:`~repro.core.kernels.numpy_backend`), the exact code once inlined in
+the engines and bit-identical to them by construction.
 
-``numpy`` (:mod:`~repro.core.kernels.numpy_backend`)
-    The always-available reference — the exact code previously inlined in
-    the engines, bit-identical to them by construction.
-``numba`` (:mod:`~repro.core.kernels.numba_backend`)
-    An optional JIT backend that fuses the elementwise passes of one batch
-    day into ``@njit(parallel=...)`` loop nests.  Parity-mandated RNG
-    draws stay in numpy; everything else fuses, and the results remain
-    bit-identical to the numpy backend.  numba is **never** a hard
-    dependency: requesting it without the package installed degrades
-    silently to numpy with a single :class:`RuntimeWarning`.
-
-Selection, in priority order:
-
-1. an explicit ``get_backend("name")`` / ``set_backend("name")`` call
-   (the CLI ``--backend`` flag goes through ``set_backend``);
-2. the ``REPRO_KERNEL_BACKEND`` environment variable (inherited by
-   process-pool workers, so sharded runs stay on one backend);
-3. the ``numpy`` default.
-
-This module is deliberately light at import time: backend modules load
-lazily on first use, so ``import repro`` never pays numba's import cost
-and the ``repro.core.batch_rank`` dispatch functions can import
-``get_backend`` without a cycle.
+Callers obtain it with :func:`get_backend`.  Telemetry and the benchmark
+tracer time every kernel call by installing an instrumentation hook
+(:func:`set_kernel_instrumentation`); while one is installed,
+:func:`get_backend` hands out the backend wrapped in the hook's proxy.
 """
 
 from __future__ import annotations
-
-import importlib
-import importlib.util
-import os
-import threading
-import warnings
-from contextlib import contextmanager
-from typing import Dict, List, Optional
 
 from repro.core.kernels.api import (  # noqa: F401  (re-exported API surface)
     ROUTE_STATS,
@@ -50,35 +24,21 @@ from repro.core.kernels.api import (  # noqa: F401  (re-exported API surface)
     draw_tie_keys,
     merge_repair,
 )
+from repro.core.kernels.numpy_backend import BACKEND as _BACKEND
 
-#: Environment variable naming the default backend for the process tree.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: Registry: backend name -> module (relative to this package) exposing a
-#: module-level ``BACKEND`` singleton.
-_BACKEND_MODULES: Dict[str, str] = {
-    "numpy": ".numpy_backend",
-    "numba": ".numba_backend",
-}
-
-_instances: Dict[str, KernelBackend] = {}
-_default_name: Optional[str] = None
-_fallback_warned: set = set()
 _instrumentation = None
-_lock = threading.Lock()
 
 
 def set_kernel_instrumentation(wrap) -> None:
     """Install (or clear, with ``None``) a backend instrumentation hook.
 
-    ``wrap`` is a callable mapping a resolved :class:`KernelBackend` to
-    the instance :func:`get_backend` should hand out — typically a
+    ``wrap`` is a callable mapping the numpy backend to the instance
+    :func:`get_backend` should hand out — typically a
     :class:`repro.telemetry.spans.TimedKernelBackend` proxy, installed
     for the duration of one telemetry-enabled run via
     :meth:`repro.telemetry.TelemetryRecorder.install_kernel_spans`.  The
-    registry cache always holds the raw backends; the hook applies at
-    dispatch time, so clearing it instantly restores the uninstrumented
-    path (a single ``is None`` check per dispatch).
+    hook applies at dispatch time, so clearing it instantly restores the
+    uninstrumented path (a single ``is None`` check per dispatch).
     """
     global _instrumentation
     _instrumentation = wrap
@@ -89,120 +49,25 @@ def get_kernel_instrumentation():
     return _instrumentation
 
 
-def available_backends() -> List[str]:
-    """Backend names whose imports would succeed on this host."""
-    names = ["numpy"]
-    if importlib.util.find_spec("numba") is not None:
-        names.append("numba")
-    return names
-
-
-def _import_backend(name: str) -> KernelBackend:
-    module = importlib.import_module(_BACKEND_MODULES[name], package=__name__)
-    return module.BACKEND
-
-
-def _fallback(name: str, error: BaseException) -> KernelBackend:
-    """Degrade to numpy with one warning per unavailable backend name."""
-    with _lock:
-        if name not in _fallback_warned:
-            _fallback_warned.add(name)
-            warnings.warn(
-                "kernel backend %r is unavailable (%s); falling back to the "
-                "numpy reference backend" % (name, error),
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return get_backend("numpy")
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a kernel backend by name (or the process default).
-
-    ``None`` resolves the default: a prior :func:`set_backend` call,
-    else the ``REPRO_KERNEL_BACKEND`` environment variable, else
-    ``"numpy"``.  Explicitly requesting an unknown name raises
-    ``ValueError``; an unknown name *from the environment* and a known
-    backend whose import fails (numba not installed) both degrade to
-    numpy with a single warning, so a stray variable can never break a
-    run that would work without it.
-    """
-    from_env = False
-    if name is None:
-        if _default_name is not None:
-            name = _default_name
-        else:
-            name = os.environ.get(ENV_VAR, "").strip().lower() or "numpy"
-            from_env = name != "numpy"
-    name = name.lower()
-    if name not in _BACKEND_MODULES:
-        if from_env:
-            return _fallback(name, NameError("unknown backend name"))
-        raise ValueError(
-            "unknown kernel backend %r; expected one of %s"
-            % (name, tuple(_BACKEND_MODULES))
-        )
-    instance = _instances.get(name)
-    if instance is None:
-        try:
-            instance = _import_backend(name)
-        except ImportError as error:
-            # Cache the fallback under the requested name: a failed import
-            # evicts the module from sys.modules, so without this every
-            # dispatch in a degraded process (REPRO_KERNEL_BACKEND=numba,
-            # numba absent — e.g. pool workers) would re-pay the import
-            # attempt.  The cache must hold the raw backend, never an
-            # instrumentation proxy (whose recorder may since have closed),
-            # so unwrap what the recursive numpy resolution handed back.
-            instance = _fallback(name, error)
-            instance = getattr(instance, "_inner", instance)
-        with _lock:
-            _instances[name] = instance
+def get_backend() -> KernelBackend:
+    """The numpy kernel backend, wrapped by the instrumentation hook if set."""
     if _instrumentation is not None:
-        return _instrumentation(instance)
-    return instance
+        return _instrumentation(_BACKEND)
+    return _BACKEND
 
 
-def set_backend(name: Optional[str]) -> KernelBackend:
-    """Set the process-default backend; returns the resolved instance.
+def set_backend(name: str) -> KernelBackend:
+    """Check that ``name`` is ``"numpy"`` and return :func:`get_backend`.
 
-    The default is what ``get_backend()`` (no argument) hands to every
-    dispatch site.  Resolution applies the same fallback rules as
-    :func:`get_backend`, so ``set_backend("numba")`` without numba
-    installed warns once and pins numpy.  Passing ``None`` clears the
-    override (environment/default resolution applies again).
+    ``perfbench/run.py`` pins its backend by name through this; any other
+    name raises ``ValueError``.
     """
-    global _default_name
-    if name is None:
-        _default_name = None
-        return get_backend()
-    backend = get_backend(name)
-    _default_name = backend.name
-    return backend
-
-
-@contextmanager
-def use_backend(name: Optional[str]):
-    """Temporarily pin the process-default backend (tests, benchmarks)."""
-    global _default_name
-    previous = _default_name
-    try:
-        yield set_backend(name)
-    finally:
-        _default_name = previous
-
-
-def _reset_dispatch_state() -> None:
-    """Forget the default override, warning memory, instrumentation hook
-    and cached fallback aliases (entries resolving to a different backend
-    than their key) — test isolation."""
-    global _default_name, _instrumentation
-    _default_name = None
-    _instrumentation = None
-    with _lock:
-        _fallback_warned.clear()
-        for key in [k for k, v in _instances.items() if v.name != k]:
-            del _instances[key]
+    if name != _BACKEND.name:
+        raise ValueError(
+            "unknown kernel backend %r; the only backend is %r"
+            % (name, _BACKEND.name)
+        )
+    return get_backend()
 
 
 __all__ = [
@@ -211,14 +76,11 @@ __all__ = [
     "ROUTE_STATS",
     "TIE_BREAKERS",
     "VALID_KERNELS",
-    "ENV_VAR",
     "merge_repair",
-    "available_backends",
     "get_backend",
     "get_kernel_instrumentation",
     "set_backend",
     "set_kernel_instrumentation",
-    "use_backend",
     "check_tie_breaker",
     "draw_tie_keys",
 ]

@@ -1,8 +1,8 @@
-"""The formal kernel API every compute backend implements.
+"""The kernel API the numpy backend implements.
 
 Every hot path of the repository — the ``(R, n)`` batch-simulation day
-step, the lockstep sweep's flush-window advance, and the serving order
-maintenance — decomposes into six array kernels:
+step, the sweep's feedback flushes, and the serving order maintenance —
+decomposes into six array kernels:
 
 ``rank_day``
     Batched descending popularity order with exact tie-breaking (the PR 2
@@ -24,19 +24,15 @@ maintenance — decomposes into six array kernels:
 
 plus one documented composite, :meth:`KernelBackend.day_tail`, covering
 everything a batch-simulation day does after the ranking is known.  The
-composite exists because a fusing backend (numba) wants to run the whole
-post-ranking tail as one loop nest rather than as two kernel calls; the
-base-class default simply chains ``visit_allocate`` and
-``awareness_update`` so non-fusing backends get it for free.
+base-class default chains ``visit_allocate`` and ``awareness_update``;
+the numpy backend overrides it with a row-blocked fluid tail.
 
-The parity contract is the repository-wide one: whatever backend executes
-a kernel, the result must be **bit-identical** to the numpy reference
-(``repro.core.kernels.numpy_backend``), which is itself bit-identical to
-the sequential per-community code by construction.  The contract is
-achievable because every random draw is *parity-mandated to stay in
-numpy*: backends receive the caller's ``numpy.random.Generator`` objects
-and must consume them through the shared helpers here (or ``super()``), so
-only deterministic array math is ever reimplemented.
+The parity contract is the repository-wide one: every kernel is
+**bit-identical** to the sequential per-community code.  Random draws go
+through the caller's ``numpy.random.Generator`` objects, consumed exactly
+as the sequential path consumes them (see :func:`draw_tie_keys`).
+:class:`repro.telemetry.spans.TimedKernelBackend` implements this API too:
+it times each call and delegates it to the numpy backend.
 """
 
 from __future__ import annotations
@@ -71,10 +67,10 @@ def draw_tie_keys(
 ) -> np.ndarray:
     """Per-row uniform tie keys, drawn exactly as the sequential path draws.
 
-    Parity-mandated RNG: every backend funnels its ``"random"`` tie-break
-    draws through this one helper so row ``r`` consumes ``rngs[r]``
-    identically to ``_deterministic_order(..., rng=rngs[r])`` — one
-    ``random(n)`` call per row — regardless of which backend sorts.
+    Parity-mandated RNG: ``rank_day`` draws its ``"random"`` tie keys
+    through this one helper so row ``r`` consumes ``rngs[r]`` identically
+    to ``_deterministic_order(..., rng=rngs[r])`` — one ``random(n)``
+    call per row.
     """
     R, n = shape
     tie_keys = np.empty((R, n), dtype=float)
@@ -145,17 +141,13 @@ def merge_repair(
 class KernelBackend(abc.ABC):
     """Dispatch target for the six day-step/serving kernels.
 
-    Implementations are stateless singletons registered in
-    :mod:`repro.core.kernels`; callers obtain the active one with
-    ``get_backend()`` and never instantiate backends directly.
+    The numpy backend is a stateless singleton; callers obtain it with
+    :func:`repro.core.kernels.get_backend` and never instantiate it
+    directly.  Its kernels may run on several Python threads at once.
     """
 
-    #: Registry name (``"numpy"``, ``"numba"``, ...).
+    #: Backend name; the suffix of every kernel span (``rank_day@numpy``).
     name: str = "abstract"
-
-    #: Whether kernels may run on several Python threads at once.  The batch
-    #: engine steps its replicate blocks on threads only when this holds.
-    thread_safe: bool = True
 
     # ------------------------------------------------------------- kernels
 
@@ -284,10 +276,9 @@ class KernelBackend(abc.ABC):
         """Everything a batch-simulation day does after ranking; returns shares.
 
         The default chains :meth:`visit_allocate` and
-        :meth:`awareness_update`; fusing backends override it to run the
-        whole fluid tail — share scatter, surfing blend, visit allocation,
-        awareness gain, clip — as one loop nest.  ``aware_count`` is
-        updated in place either way.
+        :meth:`awareness_update`; the numpy backend overrides it to run
+        the fluid tail in row blocks.  ``aware_count`` is updated in place
+        either way.
         """
         shares, monitored = self.visit_allocate(
             rankings,
@@ -303,19 +294,6 @@ class KernelBackend(abc.ABC):
             aware_count, monitored_population, monitored, mode, rngs
         )
         return shares
-
-    # ------------------------------------------------------------- utility
-
-    def warmup(self) -> None:
-        """Pre-compile / pre-allocate whatever the backend needs (no-op here).
-
-        Benchmarks call this before timing so JIT compilation of a
-        compiling backend never lands inside a measured region.
-        """
-
-    def describe(self) -> str:
-        """Short human-readable backend tag."""
-        return self.name
 
 
 __all__ = [

@@ -9,12 +9,9 @@ construction.  Where a single-community reference helper exists
 (``awareness_gain_batch``, ``allocate_monitored_visits_batch``) the kernel
 delegates to it rather than copying the arithmetic.
 
-Other backends subclass :class:`NumpyKernelBackend` and override only the
-deterministic array math (``_repair_tie_runs``, ``_partition_by_mask``,
-``_merge_by_draws``, the fluid elementwise passes); the parity-mandated
-RNG consumption — tie-key draws, pool shuffles, merge coins, stochastic
-binomials/multinomials — lives in the shared method bodies and is never
-overridden.
+The parity-mandated RNG consumption — tie-key draws, pool shuffles, merge
+coins, stochastic binomials/multinomials — follows the sequential path
+draw for draw; everything else is deterministic array math.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ DAY_TAIL_BLOCK_ROWS = 8
 
 
 class NumpyKernelBackend(KernelBackend):
-    """Pure-numpy kernels; always available, always the parity reference."""
+    """Pure-numpy kernels, bit-identical to the sequential engines."""
 
     name = "numpy"
 
@@ -431,7 +428,7 @@ class NumpyKernelBackend(KernelBackend):
         dirty[touched] = True
 
 
-#: Module-level singleton the registry hands out.
+#: The singleton :func:`repro.core.kernels.get_backend` hands out.
 BACKEND = NumpyKernelBackend()
 
 __all__ = [

@@ -30,7 +30,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.kernels import get_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.robustness.faults import FaultEvent, FaultPlan, LoadShedError
 from repro.robustness.journal import state_digest
@@ -168,8 +167,6 @@ def run_chaos_benchmark(
     headline keys); ``telemetry_window``/``telemetry_out`` additionally
     fold a windowed telemetry snapshot in under ``telemetry_*`` keys.
     """
-    kernels = get_backend()
-    kernels.warmup()
     if day_every == -1:
         day_every = max(flush_every, n_queries // 4)
     if plan is None:
@@ -255,7 +252,6 @@ def run_chaos_benchmark(
             router.attach_telemetry(NULL_RECORDER)
 
     report: Dict[str, float] = {
-        "kernel_backend": kernels.name,
         "mode": mode,
         "n_pages": float(n_pages),
         "n_queries": float(n_queries),

@@ -17,7 +17,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
-from repro.core.kernels import get_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.core.rankers_context import RankingContext
 from repro.serving.config import ServingConfig, build_router
@@ -97,8 +96,7 @@ def run_serving_benchmark(
 
     Returns a flat metrics dictionary: throughput (``queries_per_second``,
     plus per-shard ``qps_shard_<i>``), ``cache_hit_rate``, per-query
-    latencies for both paths, and ``speedup_vs_full_rank``;
-    ``kernel_backend`` names the kernel backend that ran.
+    latencies for both paths, and ``speedup_vs_full_rank``.
 
     ``telemetry_window`` (an event count) enables streaming telemetry for
     the run: windowed metric rows go to the ``telemetry_out`` JSONL path
@@ -106,8 +104,6 @@ def run_serving_benchmark(
     timing spans — is folded into the report under ``telemetry_*`` keys.
     Both default off; the timed stream then runs with the null recorder.
     """
-    kernels = get_backend()
-    kernels.warmup()  # JIT backends compile outside the timed regions
     community = DEFAULT_COMMUNITY.scaled(n_pages)
     router = build_router(
         ServingConfig(
@@ -155,7 +151,6 @@ def run_serving_benchmark(
     report = stats.as_dict()
     report.update(
         {
-            "kernel_backend": kernels.name,
             "n_pages_total": float(router.n_pages),
             "k": float(k),
             "baseline_latency_seconds": baseline_latency,
@@ -214,8 +209,6 @@ def measure_telemetry_overhead(
 
     from repro.telemetry import NULL_RECORDER, TelemetryRecorder
 
-    kernels = get_backend()
-    kernels.warmup()  # JIT backends compile outside the timed regions
     config = ServingConfig(
         n_pages=n_pages,
         n_shards=n_shards,
@@ -278,7 +271,6 @@ def measure_telemetry_overhead(
         else float("inf")
     )
     return {
-        "kernel_backend": kernels.name,
         "n_pages": float(n_pages),
         "queries": float(n_queries),
         "telemetry_window": float(telemetry_window),

@@ -668,7 +668,6 @@ def run_pool_benchmark(
     cores = os.cpu_count() or 1
     scaling = (qps_pool / max(qps_single, 1e-9)) / min(config.workers, cores)
     report = {
-        "kernel_backend": os.environ.get("REPRO_KERNEL_BACKEND", "numpy"),
         "tenants": float(config.tenants),
         "workers": float(config.workers),
         "clients": float(config.clients),

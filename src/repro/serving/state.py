@@ -124,8 +124,8 @@ class PopularityState:
         the awareness update, so the batch is equivalent to one day's worth
         of those visits landing together.
 
-        The fluid-mode arithmetic routes through the active kernel
-        backend's ``feedback_flush`` (the same kernel the lockstep sweep's
+        The fluid-mode arithmetic routes through the kernel backend's
+        ``feedback_flush`` (the same kernel the lockstep sweep's
         flush-window advance uses); the stochastic branch keeps the
         per-call binomial draws from the caller's generator.
         """

@@ -925,16 +925,11 @@ def run_sweep_benchmark(
     repeated) with the garbage collector paused inside the timed regions —
     a load spike or GC pause on a shared CI runner then hits both sides of
     the ratio alike instead of flaking it.
-
-    The report's ``kernel_backend`` entry names the kernel backend that
-    ran, tagging the benchmark JSON for the regression gate.
     """
     import gc
 
     from repro.simulation.replay import replay_trace
 
-    kernels = get_backend()
-    kernels.warmup()  # JIT backends compile outside the timed regions
     community = DEFAULT_COMMUNITY.scaled(n_pages)
     variants = list(variants) if variants is not None else variant_grid()
     workload = StreamingWorkload(
@@ -1032,7 +1027,6 @@ def run_sweep_benchmark(
         result.stats.get("cache_hit_rate", 0.0) for result in sweep.results
     ]
     report: Dict[str, float] = {
-        "kernel_backend": kernels.name,
         "n_pages": float(n_pages),
         "queries": float(n_queries),
         "replicates": float(replicates),

@@ -77,7 +77,6 @@ class BatchSimulator:
             :func:`~repro.utils.parallel.default_workers` (at least
             :data:`~repro.utils.parallel.MIN_TASKS_PER_WORKER` rows per
             block, capped by the core count and ``REPRO_MAX_WORKERS``).
-            A backend that is not ``thread_safe`` (numba) gets one block.
             Results are bit-identical for every block count.
 
     Each block is a simulator over rows ``[lo, hi)`` whose pool, share
@@ -124,7 +123,7 @@ class BatchSimulator:
             raise ValueError("BatchSimulator needs at least one replicate")
 
         R = self.replicates
-        blocks = default_workers(R, n_workers) if get_backend().thread_safe else 1
+        blocks = default_workers(R, n_workers)
         self.pool = BatchPagePool.from_config(community, self.rngs, n_workers=blocks)
         self.day = 0
         self._history: Deque[np.ndarray] = deque(maxlen=self.history_length or None)
@@ -152,11 +151,10 @@ class BatchSimulator:
     def step(self, compute_all_visits: bool = True) -> Optional[np.ndarray]:
         """Advance every replicate by one day.
 
-        The ranking routes through the active kernel backend (via the
-        ranker's ``rank_batch``), and the whole post-ranking tail —
-        attention-share scatter, optional surfing blend, monitored-visit
-        allocation, awareness update — is one ``day_tail`` kernel call, so
-        a fusing backend runs it as a single loop nest.
+        The ranking routes through the kernel backend (via the ranker's
+        ``rank_batch``), and the whole post-ranking tail — attention-share
+        scatter, optional surfing blend, monitored-visit allocation,
+        awareness update — is one ``day_tail`` kernel call.
 
         Returns the ``(R, n)`` all-user visit matrix, or ``None`` when
         ``compute_all_visits`` is off (warm-up days, where nothing observes
@@ -173,11 +171,9 @@ class BatchSimulator:
         return self._step(compute_all_visits)
 
     def _step(self, compute_all_visits: bool) -> Optional[np.ndarray]:
-        tasks = [partial(block._advance, float(self.day)) for block in self._blocks]
-        if get_backend().thread_safe:
-            shares = run_blocks(tasks)
-        else:  # the backend changed after construction: stay on this thread
-            shares = [task() for task in tasks]
+        shares = run_blocks(
+            [partial(block._advance, float(self.day)) for block in self._blocks]
+        )
         self.day += 1
         if not compute_all_visits:
             return None

@@ -22,7 +22,6 @@ import time
 from typing import Dict, Optional
 
 from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
-from repro.core.kernels import get_backend
 from repro.core.policy import RankPromotionPolicy, RECOMMENDED_POLICY
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import _run_replicates
@@ -59,13 +58,7 @@ def run_simulation_benchmark(
             (``None`` auto-sizes).
         check_parity: verify bit-identical per-replicate QPC between the two
             engines over the baseline replicates (fluid parity contract).
-
-    The report's ``kernel_backend`` entry names the backend that actually
-    ran (after any unavailable-backend fallback), so benchmark JSON and the
-    regression-gate floors are backend-tagged.
     """
-    kernels = get_backend()
-    kernels.warmup()  # JIT backends compile outside the timed regions
     community = community or DEFAULT_COMMUNITY
     policy = policy or RECOMMENDED_POLICY
     if baseline_replicates is None:
@@ -125,7 +118,6 @@ def run_simulation_benchmark(
     ) if check_parity else None
 
     report: Dict[str, float] = {
-        "kernel_backend": kernels.name,
         "n_pages": float(community.n_pages),
         "replicates": float(replicates),
         "baseline_replicates": float(baseline_replicates),

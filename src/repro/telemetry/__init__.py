@@ -13,8 +13,8 @@ Public surface:
 
 Everything defaults off: components hold :data:`NULL_RECORDER` until a
 run hands them a live recorder, and the kernel registry dispatches the
-raw backends until :meth:`TelemetryRecorder.install_kernel_spans` hooks
-the proxy in.
+raw numpy backend until :meth:`TelemetryRecorder.install_kernel_spans`
+hooks the proxy in.
 """
 
 from repro.telemetry.instruments import Counter, Gauge, P2Quantile, QuantileBank

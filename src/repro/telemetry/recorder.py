@@ -308,8 +308,6 @@ class TelemetryRecorder:
         proxies: Dict[int, TimedKernelBackend] = {}
 
         def wrap(backend):
-            if isinstance(backend, TimedKernelBackend):
-                return backend
             proxy = proxies.get(id(backend))
             if proxy is None:
                 proxy = TimedKernelBackend(backend, self.spans)

@@ -7,10 +7,10 @@ actual work (and the parity contract) to the wrapped backend.  The proxy
 is installed through the kernel registry's instrumentation hook
 (:func:`repro.core.kernels.set_kernel_instrumentation`), so every
 ``get_backend()`` dispatch site — the batch simulator's day step, the
-sweep's grouped repairs and feedback flushes, the serving state's flush
-path — reports per-kernel wall time without any of those call sites
-changing.  When no recorder is installed the hook is a single ``is None``
-check and the proxy never exists: zero overhead for the default path.
+sweep's feedback flushes, the serving state's flush path — reports
+per-kernel wall time without any of those call sites changing.  When no
+recorder is installed the hook is a single ``is None`` check and the
+proxy never exists: zero overhead for the default path.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ class SpanTable:
 class TimedKernelBackend(KernelBackend):
     """Kernel backend proxy: same results, plus a span per kernel call.
 
-    Spans are named ``<kernel>@<backend>`` (``rank_day@numpy``), so a run
-    that mixes backends (or falls back) keeps the attribution honest.
+    Spans are named ``<kernel>@<backend>`` (``rank_day@numpy``).
     ``day_tail`` is timed as the composite the caller sees; the wrapped
     backend's internal ``visit_allocate``/``awareness_update`` chaining is
     *not* separately timed (the inner backend calls its own methods, not
@@ -98,7 +97,6 @@ class TimedKernelBackend(KernelBackend):
         self._inner = inner
         self._spans = spans
         self.name = inner.name
-        self.thread_safe = inner.thread_safe
 
     def _record(self, kernel: str, started: float) -> None:
         self._spans.observe(
@@ -229,14 +227,6 @@ class TimedKernelBackend(KernelBackend):
             )
         finally:
             self._record("day_tail", started)
-
-    # ------------------------------------------------------------- utility
-
-    def warmup(self) -> None:
-        self._inner.warmup()
-
-    def describe(self) -> str:
-        return "%s+spans" % self._inner.describe()
 
 
 __all__ = ["Span", "SpanTable", "TimedKernelBackend"]

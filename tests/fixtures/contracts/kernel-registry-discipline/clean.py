@@ -1,6 +1,6 @@
 """Fixture: registry-mediated backend access the rule accepts."""
 
-from repro.core.kernels import ROUTE_STATS, get_backend, merge_repair, use_backend
+from repro.core.kernels import ROUTE_STATS, get_backend, merge_repair
 
 
 def dispatch(scores, ages, rngs):
@@ -8,9 +8,8 @@ def dispatch(scores, ages, rngs):
     return backend.rank_day(scores, ages, "random", rngs)
 
 
-def pinned_region(name):
-    with use_backend(name) as backend:
-        return backend.describe(), ROUTE_STATS.full
+def backend_tag():
+    return get_backend().name, ROUTE_STATS.full
 
 
 def repair(order, popularity, dirty):

@@ -1,6 +1,6 @@
 """Fixture: direct backend imports the registry rule must flag."""
 
-import repro.core.kernels.numba_backend as nb  # direct module import
+import repro.core.kernels.numpy_backend as npb  # direct module import
 from repro.core.kernels import numpy_backend  # member import of a backend
 from repro.core.kernels.numpy_backend import NumpyKernelBackend
 
@@ -10,4 +10,4 @@ def pinned_backend():
 
 
 def pinned_module():
-    return numpy_backend.BACKEND, nb.BACKEND
+    return numpy_backend.BACKEND, npb.BACKEND

@@ -9,8 +9,6 @@ verify the batched merge/order kernels against their sequential references
 by brute force.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from repro.baselines.derivative import DerivativeForecastRanker
 from repro.community import BatchPagePool, CommunityConfig, PagePool
 from repro.community.lifecycle import FixedLifetimeLifecycle, Lifecycle
 from repro.community.page import awareness_gain, awareness_gain_batch
-from repro.core.kernels import get_backend
 from repro.core.batch_rank import (
     batched_deterministic_order,
     batched_merge_counts,
@@ -429,8 +426,7 @@ def _block_outcome(community, case, n_workers):
     simulator = BatchSimulator(
         community, rngs=spawn_rngs(17, 7), n_workers=n_workers, **_block_case(case)
     )
-    expected_blocks = n_workers if get_backend().thread_safe else 1
-    assert len(simulator._blocks) == expected_blocks
+    assert len(simulator._blocks) == n_workers
     results = simulator.run()
     pool = simulator.pool
     return results, (pool.aware_count, pool.page_ids, pool._next_page_id)
@@ -480,32 +476,6 @@ class TestReplicateBlocks:
             assert simulator.step(compute_all_visits=False) is None
             visits[n_workers] = [simulator.step() for _ in range(3)]
         assert np.array_equal(visits[1], visits[2])
-
-    def test_backend_without_thread_safety_stays_on_the_caller(
-        self, batch_community, monkeypatch
-    ):
-        backend_class = type(get_backend())
-        built_threaded = BatchSimulator(
-            batch_community, rngs=spawn_rngs(3, 7), n_workers=2,
-            **_block_case("fluid"),
-        )
-        monkeypatch.setattr(backend_class, "thread_safe", False)
-        built_serial = BatchSimulator(
-            batch_community, rngs=spawn_rngs(3, 7), n_workers=2,
-            **_block_case("fluid"),
-        )
-        assert built_serial._blocks == [built_serial]
-        threads = set()
-        rank_day = backend_class.rank_day
-
-        def spy(self, *args, **kwargs):
-            threads.add(threading.get_ident())
-            return rank_day(self, *args, **kwargs)
-
-        monkeypatch.setattr(backend_class, "rank_day", spy)
-        built_threaded.step()
-        built_serial.step()
-        assert threads == {threading.get_ident()}
 
     def test_auto_sizing_keeps_small_batches_in_one_block(self, batch_community):
         simulator = BatchSimulator(

@@ -1,8 +1,9 @@
 """Smoke tests of the benchmark subcommands of ``repro.cli.main``.
 
 Each subcommand runs end to end at a tiny size and prints its metric
-table.  No reported key may belong to the removed adaptive ranking route,
-and its flag is gone from the parser.
+table.  No reported key may belong to the removed adaptive ranking route
+or name a kernel backend, and the flags that selected either are gone
+from the parser.
 """
 
 import pytest
@@ -36,8 +37,13 @@ SMOKE_RUNS = {
 # The removed names are spelled from their parts, so that a grep of the
 # tree for them finds only code that still uses them.
 _ADAPTIVE = ("adaptive", "rank")
-REMOVED_KEY_FRAGMENTS = ("_".join(_ADAPTIVE), "rank_route", "resort_rank_route")
-REMOVED_FLAG = "--" + "-".join(_ADAPTIVE)
+REMOVED_KEY_FRAGMENTS = (
+    "_".join(_ADAPTIVE),
+    "rank_route",
+    "resort_rank_route",
+    "_".join(("kernel", "backend")),
+)
+REMOVED_FLAGS = ("--" + "-".join(_ADAPTIVE), "--backend=numpy")
 
 
 @pytest.mark.parametrize("command", sorted(SMOKE_RUNS))
@@ -52,7 +58,9 @@ def test_bench_subcommand_runs(command, capsys):
 
 
 def test_sim_bench_rejects_removed_flag(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["sim-bench", REMOVED_FLAG])
-    assert exit_info.value.code == 2
-    assert REMOVED_FLAG in capsys.readouterr().err
+    args, _ = SMOKE_RUNS["sim-bench"]
+    for flag in REMOVED_FLAGS:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sim-bench", *args, flag])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err

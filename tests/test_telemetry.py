@@ -10,8 +10,7 @@ Four contracts are pinned here:
 * **window exactness** — a trailing-window aggregate is a difference of
   cumulative sums, so while the stream is no longer than the window every
   windowed counter equals the end-of-run total bit for bit, for serving
-  streams and for fluid/stochastic batch-simulation runs on every
-  available kernel backend;
+  streams and for fluid/stochastic batch-simulation runs;
 * **observation is passive** — a live recorder must not change a single
   served page or counter: runs with telemetry on and off produce
   identical router stats, and batch-simulation results are bit-identical
@@ -31,8 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community.config import DEFAULT_COMMUNITY
-from repro.core import kernels
-from repro.core.kernels import get_backend, use_backend
+from repro.core.kernels import get_backend, set_kernel_instrumentation
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.serving.bench import (
     measure_telemetry_overhead,
@@ -70,12 +68,10 @@ from repro.utils.rng import derive_seed, spawn_rngs
 
 
 @pytest.fixture(autouse=True)
-def clean_dispatch(monkeypatch):
-    """Isolate tests from ambient backend/instrumentation state."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels._reset_dispatch_state()
+def clean_instrumentation():
+    """Never let one test's kernel spans hook leak into the next test."""
     yield
-    kernels._reset_dispatch_state()
+    set_kernel_instrumentation(None)
 
 
 # ------------------------------------------------------------------ P²
@@ -218,7 +214,7 @@ class TestSpans:
 
     def test_timed_backend_is_transparent_and_records(self):
         table = SpanTable()
-        raw = get_backend("numpy")
+        raw = get_backend()
         timed = TimedKernelBackend(raw, table)
         scores = np.random.default_rng(0).random((3, 50))
         ours = timed.rank_day(
@@ -236,9 +232,9 @@ class TestSpans:
         recorder = TelemetryRecorder(window=8)
         recorder.install_kernel_spans()
         try:
-            backend = get_backend("numpy")
+            backend = get_backend()
             assert isinstance(backend, TimedKernelBackend)
-            # The registry cache must keep the raw backend underneath.
+            # The proxy wraps the raw backend, never another proxy.
             assert not isinstance(backend._inner, TimedKernelBackend)
             backend.rank_day(
                 np.zeros((1, 4)), None, "index", list(spawn_rngs(0, 1))
@@ -247,7 +243,7 @@ class TestSpans:
         finally:
             recorder.close()
         # close() unhooks the proxy factory again.
-        assert not isinstance(get_backend("numpy"), TimedKernelBackend)
+        assert not isinstance(get_backend(), TimedKernelBackend)
 
 
 # ------------------------------------------------------------ recorder
@@ -377,8 +373,7 @@ def _serving_run(n_queries, recorder=None, seed=7):
 
 
 class TestWindowedVsAggregate:
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    def test_serving_full_window_row_equals_totals(self, backend):
+    def test_serving_full_window_row_equals_totals(self):
         """window > stream: the final row IS the end-of-run aggregate.
 
         The window is strictly larger than the stream so no bucket
@@ -387,12 +382,11 @@ class TestWindowedVsAggregate:
         serve returns); close() then flushes a single partial row whose
         baseline is the zero origin — the full cumulative totals.
         """
-        with use_backend(backend):
-            recorder = TelemetryRecorder(
-                window=512, buckets=1, n_shards=2, quantile_sample=1
-            )
-            router = _serving_run(400, recorder)
-            recorder.close()
+        recorder = TelemetryRecorder(
+            window=512, buckets=1, n_shards=2, quantile_sample=1
+        )
+        router = _serving_run(400, recorder)
+        recorder.close()
         (row,) = [r for r in recorder.rows if r["kind"] == "window"]
         assert row["event_start"] == 0.0
         assert row["event_end"] == 400.0
@@ -416,27 +410,25 @@ class TestWindowedVsAggregate:
         without = _serving_run(300, None)
         assert with_telemetry.stats() == without.stats()
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
     @pytest.mark.parametrize("mode", ["fluid", "stochastic"])
-    def test_batch_day_rows_and_parity(self, backend, mode):
+    def test_batch_day_rows_and_parity(self, mode):
         community = DEFAULT_COMMUNITY.scaled(300)
         config = SimulationConfig(
             warmup_days=3, measure_days=5, mode=mode, snapshot_awareness=False
         )
         ranker = RECOMMENDED_POLICY.build_ranker()
-        with use_backend(backend):
-            baseline = run_batch(
-                community, ranker, config, rngs=spawn_rngs(3, 4), n_workers=1
+        baseline = run_batch(
+            community, ranker, config, rngs=spawn_rngs(3, 4), n_workers=1
+        )
+        recorder = TelemetryRecorder(window=8, buckets=1, label="sim")
+        recorder.install_kernel_spans()
+        try:
+            observed = run_batch(
+                community, ranker, config, rngs=spawn_rngs(3, 4),
+                n_workers=1, telemetry=recorder,
             )
-            recorder = TelemetryRecorder(window=8, buckets=1, label="sim")
-            recorder.install_kernel_spans()
-            try:
-                observed = run_batch(
-                    community, ranker, config, rngs=spawn_rngs(3, 4),
-                    n_workers=1, telemetry=recorder,
-                )
-            finally:
-                recorder.close()
+        finally:
+            recorder.close()
         # Observation is passive: per-replicate QPC is bit-identical.
         assert [r.qpc_absolute for r in observed] == [
             r.qpc_absolute for r in baseline
@@ -514,14 +506,6 @@ class TestConcurrentBlocks:
         report = table.as_dict()
         assert report["span_rank_day@numpy_calls"] == float(total)
         assert report["span_rank_day@numpy_seconds"] == float(total)
-
-    def test_timed_proxy_forwards_thread_safety(self):
-        class SerialBackend(type(get_backend("numpy"))):
-            thread_safe = False
-
-        table = SpanTable()
-        assert TimedKernelBackend(get_backend("numpy"), table).thread_safe
-        assert not TimedKernelBackend(SerialBackend(), table).thread_safe
 
 
 # ----------------------------------------------------- cache stats (sat 2)
