@@ -5,9 +5,6 @@ spectrum (none / uniform / selective / age-based / popularity-threshold), the
 related-work baseline rankers, and the graph-backed popularity substrate.
 """
 
-import numpy as np
-import pytest
-
 from repro.baselines import AgeWeightedRanker, DerivativeForecastRanker
 from repro.community import CommunityConfig
 from repro.core.policy import RankPromotionPolicy
@@ -17,7 +14,7 @@ from repro.core.promotion import (
     SelectivePromotionRule,
 )
 from repro.core.rankers import PopularityRanker, RandomizedPromotionRanker
-from repro.simulation import SimulationConfig, Simulator, measure_qpc
+from repro.simulation import SimulationConfig, Simulator
 from repro.webgraph.evolution import EvolvingWebGraph, GraphCommunitySimulator
 
 COMMUNITY = CommunityConfig(

@@ -311,7 +311,6 @@ def bench_feedback_flush():
 
 def bench_blocked_tail():
     """Row-blocked numpy day tail vs the unblocked chain, with bit parity."""
-    from repro.core.kernels.api import KernelBackend
     from repro.core.kernels.numpy_backend import BACKEND as numpy_backend
 
     rng = np.random.default_rng(BENCH_SEED)
@@ -325,10 +324,11 @@ def bench_blocked_tail():
     rngs = spawn_rngs(BENCH_SEED, R)
 
     def unblocked(aware):
-        return KernelBackend.day_tail(
-            numpy_backend, rankings, shares_by_rank, rate, "fluid", rngs,
-            aware, m,
+        shares, monitored = numpy_backend.visit_allocate(
+            rankings, shares_by_rank, rate, "fluid", rngs
         )
+        numpy_backend.awareness_update(aware, m, monitored, "fluid", rngs)
+        return shares
 
     def blocked(aware):
         return numpy_backend.day_tail(

@@ -25,7 +25,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.analysis.spec import RankingSpec
 from repro.utils.validation import check_positive, check_positive_int
 
 

@@ -580,6 +580,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    pool = args.experiment == "serve-bench" and (args.workers or 0) >= 1
+    if not pool and (args.tenants != 1 or args.clients != 0):
+        print(
+            "--tenants and --clients apply only to serve-bench with --workers >= 1",
+            file=sys.stderr,
+        )
+        return 2
+
     if args.experiment == "list":
         for name in list_experiments():
             print(name)

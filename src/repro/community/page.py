@@ -12,9 +12,9 @@ vectorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

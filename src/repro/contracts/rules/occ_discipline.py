@@ -25,7 +25,7 @@ hook poking ``_header`` — is a violation.
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import List
 
 from repro.contracts.core import FileContext, FileRule, Finding, register
 

@@ -25,10 +25,6 @@ from repro.core.promotion import (
     SelectivePromotionRule,
     UniformPromotionRule,
 )
-from repro.core.batch_rank import (
-    batched_deterministic_order,
-    batched_promotion_merge,
-)
 from repro.core.merge import randomized_merge, merge_positions
 from repro.core.rankers import (
     PopularityRanker,
@@ -53,8 +49,6 @@ __all__ = [
     "Ranker",
     "RankingContext",
     "BatchRankingContext",
-    "batched_deterministic_order",
-    "batched_promotion_merge",
     "PopularityRanker",
     "RandomizedPromotionRanker",
     "QualityOracleRanker",

@@ -2,9 +2,10 @@
 
 The batch simulator's ``(R, n)`` day step, the sweep's feedback flushes
 and the serving state's commits all route their array math through one
-:class:`~repro.core.kernels.api.KernelBackend`: the numpy backend
-(:mod:`~repro.core.kernels.numpy_backend`), the exact code once inlined in
-the engines and bit-identical to them by construction.
+module, :mod:`~repro.core.kernels.numpy_backend`: the exact code once
+inlined in the engines and bit-identical to them by construction.  There
+is no backend interface; its :class:`NumpyKernelBackend` is the one
+implementation.
 
 Callers obtain it with :func:`get_backend`.  Telemetry and the benchmark
 tracer time every kernel call by installing an instrumentation hook
@@ -14,17 +15,17 @@ tracer time every kernel call by installing an instrumentation hook
 
 from __future__ import annotations
 
-from repro.core.kernels.api import (  # noqa: F401  (re-exported API surface)
+from repro.core.kernels.numpy_backend import (
+    BACKEND as _BACKEND,
     ROUTE_STATS,
-    KernelBackend,
-    RankRouteStats,
     TIE_BREAKERS,
     VALID_KERNELS,
+    NumpyKernelBackend,
+    RankRouteStats,
     check_tie_breaker,
     draw_tie_keys,
     merge_repair,
 )
-from repro.core.kernels.numpy_backend import BACKEND as _BACKEND
 
 _instrumentation = None
 
@@ -49,14 +50,14 @@ def get_kernel_instrumentation():
     return _instrumentation
 
 
-def get_backend() -> KernelBackend:
+def get_backend() -> NumpyKernelBackend:
     """The numpy kernel backend, wrapped by the instrumentation hook if set."""
     if _instrumentation is not None:
         return _instrumentation(_BACKEND)
     return _BACKEND
 
 
-def set_backend(name: str) -> KernelBackend:
+def set_backend(name: str) -> NumpyKernelBackend:
     """Check that ``name`` is ``"numpy"`` and return :func:`get_backend`.
 
     ``perfbench/run.py`` pins its backend by name through this; any other
@@ -71,7 +72,6 @@ def set_backend(name: str) -> KernelBackend:
 
 
 __all__ = [
-    "KernelBackend",
     "RankRouteStats",
     "ROUTE_STATS",
     "TIE_BREAKERS",

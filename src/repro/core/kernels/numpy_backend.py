@@ -1,34 +1,68 @@
-"""The numpy reference backend: the repository's exact kernel semantics.
+"""The numpy kernels: the repository's exact array math, in one module.
 
-Every kernel here is the code that used to live inline in
-``repro.core.batch_rank``, ``repro.simulation.batch`` and
-``repro.serving.sweep`` — carved out behind the
-:class:`~repro.core.kernels.api.KernelBackend` API, not rewritten — so the
-numpy backend is bit-identical to the pre-refactor engines by
-construction.  Where a single-community reference helper exists
-(``awareness_gain_batch``, ``allocate_monitored_visits_batch``) the kernel
-delegates to it rather than copying the arithmetic.
+Every hot path of the repository — the ``(R, n)`` batch-simulation day
+step, the sweep's feedback flushes, and the serving order maintenance —
+decomposes into the six array kernels named in :data:`VALID_KERNELS`, each
+a method of :class:`NumpyKernelBackend`, plus one composite,
+:meth:`~NumpyKernelBackend.day_tail`, covering everything a
+batch-simulation day does after the ranking is known.  Callers obtain the
+singleton :data:`BACKEND` through :func:`repro.core.kernels.get_backend`,
+which hands out a timing proxy instead while telemetry is installed.
 
-The parity-mandated RNG consumption — tie-key draws, pool shuffles, merge
-coins, stochastic binomials/multinomials — follows the sequential path
-draw for draw; everything else is deterministic array math.
+The parity contract is the repository-wide one: every kernel is
+**bit-identical** to the sequential per-community code.  Where a
+single-community reference helper exists (``awareness_gain_batch``,
+``allocate_monitored_visits_batch``) the kernel delegates to it rather than
+copying the arithmetic.  The parity-mandated RNG consumption — tie-key
+draws, pool shuffles, merge coins, stochastic binomials/multinomials — goes
+through the caller's ``numpy.random.Generator`` objects and follows the
+sequential path draw for draw (see :func:`draw_tie_keys`); everything else
+is deterministic array math.
+
+Exactness argument for the deterministic order (``rank_day``): the
+sequential ``_deterministic_order`` is ``np.lexsort`` over
+``(tie_key, -scores)`` (or the age/index variants), i.e. the unique
+ordering by the composite key ``(-score, tie, index)``.  Any sorting
+algorithm that realises that total order returns the same permutation, so
+the kernel is free to use the fastest route: an unstable batched quicksort
+on the primary key alone, followed by an exact repair of every run of
+equal primary keys using the secondary/tertiary keys.  Ties are rare in
+fluid mode (only freshly replaced pages share popularity zero) but can be
+large in stochastic mode, where integer awareness counts collide; the
+repair handles both.
+
+The merge kernel (``promotion_merge``) mirrors
+``repro.core.merge.merge_positions`` through a closed form: with ``c[j]``
+the running count of promotion-list picks after ``j + 1`` slots, draining
+both lists is equivalent to clipping ``c`` to ``[j + 1 - n_det,
+n_promoted]`` — the lower bound activates when the deterministic list runs
+dry (every later slot takes from the promotion list) and the upper bound
+when the promotion list does (every later slot takes from the
+deterministic list).  ``tests/test_batch.py`` checks this equivalence
+against ``merge_positions`` by brute force.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.community.page import awareness_gain_batch
-from repro.core.kernels.api import (
-    KernelBackend,
-    check_tie_breaker,
-    draw_tie_keys,
-    merge_repair,
-)
 from repro.utils.validation import check_probability
 from repro.visits.allocation import allocate_monitored_visits_batch
+
+TIE_BREAKERS = ("random", "age", "index")
+
+VALID_KERNELS = (
+    "rank_day",
+    "awareness_update",
+    "visit_allocate",
+    "promotion_merge",
+    "lane_repair",
+    "feedback_flush",
+)
 
 #: Row-block height of the fluid day tail.  The unfused ``(R, n)`` tail
 #: streams ~R*n*8-byte temporaries through L2 between every elementwise
@@ -38,9 +72,144 @@ from repro.visits.allocation import allocate_monitored_visits_batch
 DAY_TAIL_BLOCK_ROWS = 8
 
 
-class NumpyKernelBackend(KernelBackend):
-    """Pure-numpy kernels, bit-identical to the sequential engines."""
+def check_tie_breaker(tie_breaker: str) -> None:
+    """Reject tie-break rules outside :data:`TIE_BREAKERS`."""
+    if tie_breaker not in TIE_BREAKERS:
+        raise ValueError(
+            "tie_breaker must be one of %s, got %r" % (TIE_BREAKERS, tie_breaker)
+        )
 
+
+def draw_tie_keys(
+    rngs: Sequence[np.random.Generator], shape: Tuple[int, int]
+) -> np.ndarray:
+    """Per-row uniform tie keys, drawn exactly as the sequential path draws.
+
+    Parity-mandated RNG: ``rank_day`` draws its ``"random"`` tie keys
+    through this one helper so row ``r`` consumes ``rngs[r]`` identically
+    to ``_deterministic_order(..., rng=rngs[r])`` — one ``random(n)``
+    call per row.
+    """
+    R, n = shape
+    tie_keys = np.empty((R, n), dtype=float)
+    for row in range(R):
+        rngs[row].random(out=tie_keys[row])
+    return tie_keys
+
+
+class RankRouteStats:
+    """Per-row route counters of a ``rank_day`` router; all four stay zero.
+
+    ``rank_day`` has one route, the full sort, and records nothing here.
+    The end-to-end benchmark still reads these four counters as its
+    ``kernels.route_*`` metrics, so the shared instance
+    (:data:`ROUTE_STATS`) stays importable until those metrics are dropped.
+    """
+
+    __slots__ = ("copy", "run_merge", "windowed", "full")
+
+    def __init__(self) -> None:
+        self.copy = self.run_merge = self.windowed = self.full = 0
+
+
+#: The shared, always-zero route counters (see :class:`RankRouteStats`).
+ROUTE_STATS = RankRouteStats()
+
+
+def merge_repair(
+    order: np.ndarray,
+    popularity: np.ndarray,
+    dirty: np.ndarray,
+    scratch: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact O(n + d log d) merge repair of one maintained descending order.
+
+    The single-lane reference shared by ``ServingEngine._compact`` and the
+    grouped :meth:`NumpyKernelBackend.lane_repair` kernel.  The ``dirty``
+    pages are extracted, sorted by descending popularity (stable over the
+    order of ``dirty``), and merged back *after* their equal-popularity
+    keeps (``side="right"``), which is where a re-sorted tie group would
+    place them.
+
+    Returns ``(merged_order, scratch)``.  ``scratch`` is a reusable boolean
+    mask that is ``False`` outside ``dirty`` on entry and all ``False`` on
+    return, handed back so hot callers can keep it.
+    """
+    n = order.size
+    if scratch is None or scratch.size != n:
+        scratch = np.zeros(n, dtype=bool)
+    scratch[dirty] = True
+    keep = order[~scratch[order]]
+    scratch[dirty] = False  # leave the scratch clean for the next repair
+    moved = dirty[np.argsort(-popularity[dirty], kind="stable")]
+    positions = np.searchsorted(-popularity[keep], -popularity[moved], side="right")
+    # Equivalent to np.insert(keep, positions, moved) — positions are
+    # nondecreasing (moved is sorted), so each inserted element lands at
+    # its original position plus the number of insertions before it —
+    # without np.insert's generic-case overhead on the serving hot path.
+    merged = np.empty(n, dtype=order.dtype)
+    slots = positions + np.arange(moved.size)
+    keep_mask = np.ones(n, dtype=bool)
+    keep_mask[slots] = False
+    merged[slots] = moved
+    merged[keep_mask] = keep
+    return merged, scratch
+
+
+#: Single-slot, thread-local scratch for :func:`_flat_take` (row offsets and
+#: the flat index buffer for the most recent (R, n) shape).  A simulation run
+#: gathers thousands of times at one fixed shape, so one slot captures the
+#: win while sweeps over many community sizes retain at most one shape's
+#: buffers per thread; thread-locality keeps concurrently stepping engines
+#: (e.g. a ThreadPoolExecutor policy sweep) from clobbering each other.
+_FLAT_TAKE_SCRATCH = threading.local()
+
+
+def _flat_take(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Row-wise gather ``matrix[r, indices[r]]`` via one flat ``take``."""
+    R, n = matrix.shape
+    scratch = getattr(_FLAT_TAKE_SCRATCH, "slot", None)
+    if scratch is None or scratch[0] != (R, n):
+        scratch = (
+            (R, n),
+            (np.arange(R, dtype=np.int64) * n)[:, None],
+            np.empty((R, n), dtype=np.int64),
+        )
+        _FLAT_TAKE_SCRATCH.slot = scratch
+    _, offsets, flat_indices = scratch
+    np.add(indices, offsets, out=flat_indices)
+    return matrix.ravel().take(flat_indices)
+
+
+def batched_merge_counts(
+    flips: np.ndarray, n_deterministic: np.ndarray, n_promoted: np.ndarray
+) -> np.ndarray:
+    """Running promotion-pick counts per slot with both lists draining.
+
+    ``flips`` is the ``(R, n)`` coin matrix (``True`` = try the promotion
+    list), already ``False`` in each row's protected prefix and in rows that
+    drew no coins.  Returns the clipped cumulative count ``c`` described in
+    the module docstring; slot ``j`` takes from the promotion list exactly
+    when ``c[j] > c[j - 1]``.
+    """
+    R, n = flips.shape
+    counts = np.cumsum(flips, axis=1, dtype=np.int32)
+    position = np.arange(1, n + 1, dtype=np.int32)
+    lower = position[None, :] - n_deterministic.astype(np.int32)[:, None]
+    np.maximum(counts, lower, out=counts)
+    np.minimum(counts, n_promoted.astype(np.int32)[:, None], out=counts)
+    return counts
+
+
+class NumpyKernelBackend:
+    """Pure-numpy kernels, bit-identical to the sequential engines.
+
+    A stateless singleton (:data:`BACKEND`); callers obtain it with
+    :func:`repro.core.kernels.get_backend` and never instantiate it
+    directly.  Its kernels may run on several Python threads at once.
+    """
+
+    #: Backend name; the suffix of every kernel span (``rank_day@numpy``).
     name = "numpy"
 
     # ------------------------------------------------------------ rank_day
@@ -52,8 +221,15 @@ class NumpyKernelBackend(KernelBackend):
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        from repro.core.batch_rank import _flat_take
+        """Batched descending order over ``(R, n)`` scores with exact ties.
 
+        ``ages`` is needed only for ``tie_breaker="age"``; ``rngs`` holds one
+        generator per row and is consulted (one ``random(n)`` draw per row,
+        via :func:`draw_tie_keys`) only for ``"random"``.  Row ``r`` of the
+        returned ``(R, n)`` permutations equals
+        ``_deterministic_order(scores[r], ages[r], tie_breaker, rngs[r])``
+        (``repro.core.rankers``) bit for bit.
+        """
         scores = np.asarray(scores, dtype=float)
         R, n = scores.shape
         tie_keys = None
@@ -186,8 +362,19 @@ class NumpyKernelBackend(KernelBackend):
         r: float,
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
-        from repro.core.batch_rank import _flat_take
+        """Batched randomized promotion merge; row-wise ``randomized_merge``.
 
+        ``perms`` holds ``(R, n)`` deterministic orders (read, not
+        modified), ``promoted_mask`` the ``(R, n)`` pool membership per page
+        index, ``k`` the protected prefix length (ranks better than ``k``
+        never move) and ``r`` the merge coin bias.  For each row this
+        reproduces ``randomized_merge(deterministic, promoted, k, r,
+        rngs[r])`` exactly: the promotion pool is the masked subsequence of
+        the deterministic order, shuffled with the row's generator, and
+        merged via the same coin flips.  Rows with an empty pool return
+        their deterministic order untouched and consult their generator not
+        at all, matching the sequential early return.
+        """
         R, n = perms.shape
         if k < 1:
             raise ValueError("k must be >= 1, got %d" % k)
@@ -239,8 +426,6 @@ class NumpyKernelBackend(KernelBackend):
 
         A stable argsort of the boolean mask is exactly that partition.
         """
-        from repro.core.batch_rank import _flat_take
-
         partition = np.argsort(mask_by_rank, axis=1, kind="stable")
         return _flat_take(perms, partition)
 
@@ -253,8 +438,6 @@ class NumpyKernelBackend(KernelBackend):
         n_promoted: np.ndarray,
     ) -> np.ndarray:
         """Drain both lists by the drawn coins (clipped-cumsum slot algebra)."""
-        from repro.core.batch_rank import _flat_take, batched_merge_counts
-
         R, n = values.shape
         flips = draws < r
         counts = batched_merge_counts(flips, n_deterministic, n_promoted)
@@ -283,6 +466,13 @@ class NumpyKernelBackend(KernelBackend):
         surf_shares: Optional[np.ndarray] = None,
         out_shares: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scatter rank shares to pages and allocate monitored visits.
+
+        Returns ``(shares, monitored_visits)``, both ``(R, n)``.  With a
+        non-zero ``surfing_fraction`` the scattered shares are blended with
+        the precomputed ``surf_shares`` matrix exactly as
+        :func:`repro.visits.allocation.rank_visit_shares_batch` blends.
+        """
         rankings = np.asarray(rankings)
         R, n = rankings.shape
         if out_shares is None:
@@ -310,6 +500,13 @@ class NumpyKernelBackend(KernelBackend):
         mode: str,
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
+        """Apply one day's awareness gain in place; returns ``aware_count``.
+
+        Fluid mode is the elementwise expectation
+        ``min(m, a + (m - a) * (1 - (1 - 1/m)**v))``; stochastic mode draws
+        row ``r``'s binomials from ``rngs[r]`` exactly as
+        :func:`repro.community.page.awareness_gain_batch` does.
+        """
         gained = awareness_gain_batch(
             aware_count,
             monitored_population,
@@ -333,29 +530,33 @@ class NumpyKernelBackend(KernelBackend):
         surf_shares: Optional[np.ndarray] = None,
         out_shares: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Row-blocked fluid day tail: the unfused chain, L1/L2-resident.
+        """Everything a batch-simulation day does after ranking; returns shares.
 
-        The default chain's elementwise passes allocate and stream full
-        ``(R, n)`` temporaries between every step; here the same passes run
-        over :data:`DAY_TAIL_BLOCK_ROWS`-row blocks with two reused block
-        buffers, so each intermediate stays cache-resident.  Every step is
-        the *same ufunc on the same values* as the reference chain
+        The reference is the chain :meth:`visit_allocate` then
+        :meth:`awareness_update`, which updates ``aware_count`` in place.
+        Stochastic mode and short batches run that chain as is (per-row
+        generator draws already block naturally, and small ``R`` has
+        nothing to gain).  The fluid tail of a taller batch runs the same
+        passes over :data:`DAY_TAIL_BLOCK_ROWS`-row blocks with two reused
+        block buffers, so each intermediate stays cache-resident instead of
+        streaming full ``(R, n)`` temporaries between steps.  Every step is
+        the *same ufunc on the same values* as the chain
         (``visit_allocate`` + ``awareness_gain_batch`` + clip), just on row
-        slices, so the result is bit-identical per element.  Stochastic
-        mode and short batches keep the plain chain (per-row generator
-        draws already block naturally, and small ``R`` has nothing to
-        gain).
+        slices, so the result is bit-identical per element.
         """
         rankings = np.asarray(rankings)
         R, n = rankings.shape
         if mode != "fluid" or R <= DAY_TAIL_BLOCK_ROWS or n == 0:
-            return super().day_tail(
+            shares, monitored = self.visit_allocate(
                 rankings, shares_by_rank, rate, mode, rngs,
-                aware_count, monitored_population,
                 surfing_fraction=surfing_fraction,
                 surf_shares=surf_shares,
                 out_shares=out_shares,
             )
+            self.awareness_update(
+                aware_count, monitored_population, monitored, mode, rngs
+            )
+            return shares
         if out_shares is None:
             out_shares = np.empty((R, n), dtype=float)
         if surfing_fraction and surf_shares is None:
@@ -398,6 +599,21 @@ class NumpyKernelBackend(KernelBackend):
         popularity: Sequence[np.ndarray],
         dirty: Sequence[np.ndarray],
     ) -> List[np.ndarray]:
+        """Grouped merge-repair of maintained descending orders.
+
+        One batched call repairs every lane of one community size: lane
+        ``i``'s repaired order must be bit-identical to
+        :func:`merge_repair` of that lane — extract the ``dirty[i]`` pages,
+        sort them by ``-popularity[i]`` (stable over the order of
+        ``dirty[i]``), and merge them back after their equal-popularity
+        keeps.  Callers guarantee ``0 < dirty[i].size < n // 2`` and equal
+        ``n`` across the call.
+
+        No program path calls it: the serving engine and the sweep repair
+        lazily through ``ServingEngine._absorb``.  It is kept because the
+        end-to-end benchmark's per-layer list names its spans, which the
+        tracer builds from :data:`VALID_KERNELS`.
+        """
         repaired: List[np.ndarray] = []
         scratch: Optional[np.ndarray] = None  # shared across equal-size lanes
         for lane_order, lane_pop, lane_dirty in zip(orders, popularity, dirty, strict=True):
@@ -417,6 +633,14 @@ class NumpyKernelBackend(KernelBackend):
         summed: np.ndarray,
         monitored_population: int,
     ) -> None:
+        """Fluid-mode sparse feedback over flat state, in place.
+
+        ``touched`` holds unique flat indices (a stacked lane group uses
+        ``row * n + page`` keys over raveled matrices) and ``summed`` the
+        per-index visit totals.  Applies the fluid awareness gain, refreshes
+        the materialized popularity, and marks the dirty flags; version
+        bumps stay with the caller.
+        """
         m = monitored_population
         values = aware[touched]
         # awareness_gain (fluid): gained = (m - aware) * (1 - (1 - 1/m)**v),
@@ -432,7 +656,14 @@ class NumpyKernelBackend(KernelBackend):
 BACKEND = NumpyKernelBackend()
 
 __all__ = [
-    "NumpyKernelBackend",
     "BACKEND",
+    "ROUTE_STATS",
+    "TIE_BREAKERS",
+    "VALID_KERNELS",
+    "NumpyKernelBackend",
+    "RankRouteStats",
+    "batched_merge_counts",
+    "check_tie_breaker",
+    "draw_tie_keys",
     "merge_repair",
 ]

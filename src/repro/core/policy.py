@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.promotion import (
-    NoPromotionRule,
-    SelectivePromotionRule,
-    UniformPromotionRule,
-)
+from repro.core.promotion import SelectivePromotionRule, UniformPromotionRule
 from repro.core.rankers import PopularityRanker, RandomizedPromotionRanker, Ranker
 from repro.utils.validation import check_probability
 

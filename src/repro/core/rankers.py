@@ -23,11 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.batch_rank import (
-    TIE_BREAKERS,
-    batched_deterministic_order,
-    batched_promotion_merge,
-)
+from repro.core.kernels import TIE_BREAKERS, check_tie_breaker, get_backend
 from repro.core.merge import randomized_merge
 from repro.core.promotion import NoPromotionRule, PromotionRule, SelectivePromotionRule
 from repro.core.rankers_context import BatchRankingContext, RankingContext
@@ -120,8 +116,7 @@ class PopularityRanker(Ranker):
     tie_breaker: str = "random"
 
     def __post_init__(self) -> None:
-        if self.tie_breaker not in TIE_BREAKERS:
-            raise ValueError("tie_breaker must be one of %s" % (TIE_BREAKERS,))
+        check_tie_breaker(self.tie_breaker)
 
     @property
     def is_randomized(self) -> bool:
@@ -138,7 +133,7 @@ class PopularityRanker(Ranker):
         rngs: Sequence[np.random.Generator],
     ) -> np.ndarray:
         ages = context.ages if self.tie_breaker == "age" else None
-        return batched_deterministic_order(
+        return get_backend().rank_day(
             context.popularity, ages, self.tie_breaker, rngs
         )
 
@@ -164,8 +159,7 @@ class RandomizedPromotionRanker(Ranker):
         if self.k < 1:
             raise ValueError("k must be >= 1, got %d" % self.k)
         check_probability("r", self.r)
-        if self.tie_breaker not in TIE_BREAKERS:
-            raise ValueError("tie_breaker must be one of %s" % (TIE_BREAKERS,))
+        check_tie_breaker(self.tie_breaker)
 
     @property
     def is_randomized(self) -> bool:
@@ -196,12 +190,11 @@ class RandomizedPromotionRanker(Ranker):
         if promoted_mask.shape != context.popularity.shape:
             raise ValueError("promotion rule returned a mask of the wrong shape")
         ages = context.ages if self.tie_breaker == "age" else None
-        orders = batched_deterministic_order(
-            context.popularity, ages, self.tie_breaker, rngs
-        )
+        backend = get_backend()
+        orders = backend.rank_day(context.popularity, ages, self.tie_breaker, rngs)
         if self.r == 0.0:
             return orders
-        return batched_promotion_merge(orders, promoted_mask, self.k, self.r, rngs)
+        return backend.promotion_merge(orders, promoted_mask, self.k, self.r, rngs)
 
     def describe(self) -> str:
         return "Randomized(%s, k=%d, r=%.2f)" % (
@@ -241,7 +234,7 @@ class QualityOracleRanker(Ranker):
     ) -> np.ndarray:
         if context.quality is None:
             raise ValueError("QualityOracleRanker requires quality in the context")
-        return batched_deterministic_order(context.quality, None, "index", rngs)
+        return get_backend().rank_day(context.quality, None, "index", rngs)
 
     def describe(self) -> str:
         return "Quality oracle"

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.analysis.spec import RankingSpec
 from repro.analysis.solver import SteadyStateSolver
 from repro.core.policy import RankPromotionPolicy

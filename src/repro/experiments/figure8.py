@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.policy import RankPromotionPolicy
 from repro.experiments.defaults import scaled_settings
 from repro.experiments.figure7 import POLICIES
 from repro.experiments.results import ExperimentResult

@@ -12,14 +12,14 @@ items have rotated out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.merge import randomized_merge
 from repro.livestudy.items import ItemPool, funniness_distribution
-from repro.utils.rng import RandomSource, as_rng, spawn_rngs
+from repro.utils.rng import RandomSource, spawn_rngs
 from repro.utils.validation import check_positive, check_positive_int
 from repro.visits.attention import PowerLawAttention
 

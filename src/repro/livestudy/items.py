@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.community.quality import PowerLawQualityDistribution
 from repro.utils.rng import RandomSource, as_rng
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive
 
 
 def funniness_distribution(n_items: int, rng: RandomSource = None) -> np.ndarray:

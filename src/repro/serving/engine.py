@@ -33,10 +33,8 @@ import numpy as np
 
 from repro.community.config import CommunityConfig
 from repro.community.lifecycle import Lifecycle, PoissonLifecycle
-from repro.core.batch_rank import batched_deterministic_order
-from repro.core.kernels import merge_repair
+from repro.core.kernels import get_backend, merge_repair
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
-from repro.core.rankers import RandomizedPromotionRanker
 from repro.core.rankers_context import RankingContext
 from repro.robustness.faults import NULL_INJECTOR
 from repro.serving.cache import ResultPageCache, page_key
@@ -245,7 +243,7 @@ class ServingEngine:
         exact ranker draws.  The sort becomes the base and empties the side
         list.
         """
-        self._order = batched_deterministic_order(
+        self._order = get_backend().rank_day(
             self.state.popularity[None, :], None, "random", [self.rng]
         )[0]
         if self._in_side is None:

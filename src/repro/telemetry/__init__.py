@@ -9,7 +9,7 @@ Public surface:
 * :class:`SlidingWindowCounters` — the O(1) windowed aggregator
   (`window`).
 * :class:`SpanTable` / :class:`TimedKernelBackend` — timing spans and
-  the kernel-registry proxy (`spans`).
+  the proxy that times every kernel of the numpy backend (`spans`).
 
 Everything defaults off: components hold :data:`NULL_RECORDER` until a
 run hands them a live recorder, and the kernel registry dispatches the

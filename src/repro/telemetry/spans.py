@@ -1,9 +1,9 @@
 """Timing spans for the kernel dispatch layer (and anything else).
 
 A :class:`SpanTable` is a name -> (count, total seconds) accumulator; a
-:class:`TimedKernelBackend` is a :class:`~repro.core.kernels.api.KernelBackend`
-proxy that times every kernel call into such a table while delegating the
-actual work (and the parity contract) to the wrapped backend.  The proxy
+:class:`TimedKernelBackend` is a proxy of the numpy kernel backend that
+times every kernel call into such a table while delegating the actual work
+(and the parity contract) to the wrapped backend.  The proxy
 is installed through the kernel registry's instrumentation hook
 (:func:`repro.core.kernels.set_kernel_instrumentation`), so every
 ``get_backend()`` dispatch site — the batch simulator's day step, the
@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List
 
-import numpy as np
-
-from repro.core.kernels.api import KernelBackend
+from repro.core.kernels import VALID_KERNELS
 
 
 class Span:
@@ -83,150 +81,38 @@ class SpanTable:
         return report
 
 
-class TimedKernelBackend(KernelBackend):
+class TimedKernelBackend:
     """Kernel backend proxy: same results, plus a span per kernel call.
 
-    Spans are named ``<kernel>@<backend>`` (``rank_day@numpy``).
-    ``day_tail`` is timed as the composite the caller sees; the wrapped
-    backend's internal ``visit_allocate``/``awareness_update`` chaining is
-    *not* separately timed (the inner backend calls its own methods, not
-    the proxy's), which keeps span totals additive.
+    Every kernel of :data:`~repro.core.kernels.VALID_KERNELS`, and the
+    ``day_tail`` composite, is bound on the proxy as a timed wrapper of the
+    wrapped backend's method; spans are named ``<kernel>@<backend>``
+    (``rank_day@numpy``) and reported through ``spans.observe(name,
+    seconds)``.  ``day_tail`` is timed as the composite the caller sees;
+    the wrapped backend's internal ``visit_allocate``/``awareness_update``
+    chaining is *not* separately timed (the inner backend calls its own
+    methods, not the proxy's), which keeps span totals additive.
     """
 
-    def __init__(self, inner: KernelBackend, spans: SpanTable) -> None:
+    def __init__(self, inner, spans: SpanTable) -> None:
         self._inner = inner
-        self._spans = spans
         self.name = inner.name
+        for kernel in VALID_KERNELS + ("day_tail",):
+            span = "%s@%s" % (kernel, inner.name)
+            setattr(self, kernel, _timed(getattr(inner, kernel), span, spans))
 
-    def _record(self, kernel: str, started: float) -> None:
-        self._spans.observe(
-            "%s@%s" % (kernel, self._inner.name), time.perf_counter() - started
-        )
 
-    # ------------------------------------------------------------- kernels
+def _timed(kernel: Callable, span: str, spans: SpanTable) -> Callable:
+    """``kernel`` reporting each call's wall time to ``spans`` as ``span``."""
 
-    def rank_day(
-        self,
-        scores: np.ndarray,
-        ages: Optional[np.ndarray],
-        tie_breaker: str,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
+    def timed(*args, **kwargs):
         started = time.perf_counter()
         try:
-            return self._inner.rank_day(scores, ages, tie_breaker, rngs)
+            return kernel(*args, **kwargs)
         finally:
-            self._record("rank_day", started)
+            spans.observe(span, time.perf_counter() - started)
 
-    def awareness_update(
-        self,
-        aware_count: np.ndarray,
-        monitored_population: int,
-        monitored_visits: np.ndarray,
-        mode: str,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        started = time.perf_counter()
-        try:
-            return self._inner.awareness_update(
-                aware_count, monitored_population, monitored_visits, mode, rngs
-            )
-        finally:
-            self._record("awareness_update", started)
-
-    def visit_allocate(
-        self,
-        rankings: np.ndarray,
-        shares_by_rank: np.ndarray,
-        rate: float,
-        mode: str,
-        rngs: Sequence[np.random.Generator],
-        surfing_fraction: float = 0.0,
-        surf_shares: Optional[np.ndarray] = None,
-        out_shares: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        started = time.perf_counter()
-        try:
-            return self._inner.visit_allocate(
-                rankings, shares_by_rank, rate, mode, rngs,
-                surfing_fraction=surfing_fraction,
-                surf_shares=surf_shares,
-                out_shares=out_shares,
-            )
-        finally:
-            self._record("visit_allocate", started)
-
-    def promotion_merge(
-        self,
-        perms: np.ndarray,
-        promoted_mask: np.ndarray,
-        k: int,
-        r: float,
-        rngs: Sequence[np.random.Generator],
-    ) -> np.ndarray:
-        started = time.perf_counter()
-        try:
-            return self._inner.promotion_merge(perms, promoted_mask, k, r, rngs)
-        finally:
-            self._record("promotion_merge", started)
-
-    def lane_repair(
-        self,
-        orders: Sequence[np.ndarray],
-        popularity: Sequence[np.ndarray],
-        dirty: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
-        started = time.perf_counter()
-        try:
-            return self._inner.lane_repair(orders, popularity, dirty)
-        finally:
-            self._record("lane_repair", started)
-
-    def feedback_flush(
-        self,
-        aware: np.ndarray,
-        popularity: np.ndarray,
-        quality: np.ndarray,
-        dirty: np.ndarray,
-        touched: np.ndarray,
-        summed: np.ndarray,
-        monitored_population: int,
-    ) -> None:
-        started = time.perf_counter()
-        try:
-            return self._inner.feedback_flush(
-                aware, popularity, quality, dirty, touched, summed,
-                monitored_population,
-            )
-        finally:
-            self._record("feedback_flush", started)
-
-    # ----------------------------------------------------------- composite
-
-    def day_tail(
-        self,
-        rankings: np.ndarray,
-        shares_by_rank: np.ndarray,
-        rate: float,
-        mode: str,
-        rngs: Sequence[np.random.Generator],
-        aware_count: np.ndarray,
-        monitored_population: int,
-        surfing_fraction: float = 0.0,
-        surf_shares: Optional[np.ndarray] = None,
-        out_shares: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        started = time.perf_counter()
-        try:
-            return self._inner.day_tail(
-                rankings, shares_by_rank, rate, mode, rngs,
-                aware_count, monitored_population,
-                surfing_fraction=surfing_fraction,
-                surf_shares=surf_shares,
-                out_shares=out_shares,
-            )
-        finally:
-            self._record("day_tail", started)
+    return timed
 
 
 __all__ = ["Span", "SpanTable", "TimedKernelBackend"]

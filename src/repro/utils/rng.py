@@ -9,7 +9,7 @@ for each repetition with :func:`spawn_rngs`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 

@@ -16,16 +16,12 @@ from repro.baselines.derivative import DerivativeForecastRanker
 from repro.community import BatchPagePool, CommunityConfig, PagePool
 from repro.community.lifecycle import FixedLifetimeLifecycle, Lifecycle
 from repro.community.page import awareness_gain, awareness_gain_batch
-from repro.core.batch_rank import (
-    batched_deterministic_order,
-    batched_merge_counts,
-    batched_promotion_merge,
-)
+from repro.core.kernels import get_backend
+from repro.core.kernels.numpy_backend import batched_merge_counts
 from repro.core.merge import merge_positions
 from repro.core.policy import RankPromotionPolicy
 from repro.core.promotion import PromotionRule
 from repro.core.rankers import (
-    PopularityRanker,
     RandomizedPromotionRanker,
     Ranker,
     _deterministic_order,
@@ -250,7 +246,7 @@ class TestBatchedOrderKernel:
         ages = rng.integers(0, 5, size=(R, n)).astype(float)
         batch_rngs = [np.random.default_rng(100 + i) for i in range(R)]
         seq_rngs = [np.random.default_rng(100 + i) for i in range(R)]
-        perms = batched_deterministic_order(scores, ages, tie_breaker, batch_rngs)
+        perms = get_backend().rank_day(scores, ages, tie_breaker, batch_rngs)
         for row in range(R):
             expected = _deterministic_order(
                 scores[row], ages[row], tie_breaker, seq_rngs[row]
@@ -261,7 +257,7 @@ class TestBatchedOrderKernel:
         # Sequential substitutes zero ages when the context has none; the
         # batched order must mirror that rather than erroring.
         scores = np.tile(np.array([0.2, 0.2, 0.5, 0.2]), (2, 1))
-        perms = batched_deterministic_order(scores, None, "age", [])
+        perms = get_backend().rank_day(scores, None, "age", [])
         for row in range(2):
             expected = _deterministic_order(scores[row], None, "age")
             assert np.array_equal(perms[row], expected)
@@ -270,14 +266,14 @@ class TestBatchedOrderKernel:
         scores = np.zeros((3, 40))
         batch_rngs = [np.random.default_rng(i) for i in range(3)]
         seq_rngs = [np.random.default_rng(i) for i in range(3)]
-        perms = batched_deterministic_order(scores, None, "random", batch_rngs)
+        perms = get_backend().rank_day(scores, None, "random", batch_rngs)
         for row in range(3):
             expected = _deterministic_order(scores[row], None, "random", seq_rngs[row])
             assert np.array_equal(perms[row], expected)
 
     def test_unknown_tie_breaker_rejected(self):
         with pytest.raises(ValueError):
-            batched_deterministic_order(np.zeros((1, 4)), None, "sideways", [])
+            get_backend().rank_day(np.zeros((1, 4)), None, "sideways", [])
 
     def test_deterministic_order_requires_rng(self):
         with pytest.raises(ValueError):

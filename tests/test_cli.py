@@ -3,7 +3,8 @@
 Each subcommand runs end to end at a tiny size and prints its metric
 table.  No reported key may belong to the removed adaptive ranking route
 or name a kernel backend, and the flags that selected either are gone
-from the parser.
+from the parser.  The pool-only flags ``--tenants`` and ``--clients`` are
+refused everywhere but serve-bench's pool path.
 """
 
 import pytest
@@ -55,6 +56,17 @@ def test_bench_subcommand_runs(command, capsys):
     assert expected_key in keys
     for key in keys:
         assert not any(fragment in key for fragment in REMOVED_KEY_FRAGMENTS), key
+
+
+@pytest.mark.parametrize(
+    "flag", [("--tenants", "4"), ("--clients", "2")], ids=["tenants", "clients"]
+)
+@pytest.mark.parametrize("command", ["serve-bench", "sim-bench"])
+def test_pool_flags_without_pool_are_rejected(command, flag, capsys):
+    """Only serve-bench's pool path reads --tenants and --clients."""
+    args, _ = SMOKE_RUNS[command]
+    assert main([command, *args, *flag]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_sim_bench_rejects_removed_flag(capsys):

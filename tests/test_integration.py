@@ -7,7 +7,6 @@ faster (TBP) and does not hurt — typically helps — amortized result quality
 direction of every effect.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import RankingSpec, solve_model

@@ -375,8 +375,6 @@ class TestKernelEdgeCases:
     def test_day_tail_degenerate_shapes(self, mode, R, n):
         """day_tail survives n=0 / n=1 / R=1 — and the blocked and plain
         chains agree on every such shape."""
-        from repro.core.kernels.api import KernelBackend
-
         backend = get_backend()
         rng = np.random.default_rng(1)
         m = 10
@@ -390,10 +388,11 @@ class TestKernelEdgeCases:
         )
         assert shares.shape == (R, n)
         assert np.all(aware_blocked <= m)
-        chained = KernelBackend.day_tail(
-            backend, rankings, shares_by_rank, 3.0, mode, spawn_rngs(0, R),
-            aware_chain, m,
+        chain_rngs = spawn_rngs(0, R)
+        chained, monitored = backend.visit_allocate(
+            rankings, shares_by_rank, 3.0, mode, chain_rngs
         )
+        backend.awareness_update(aware_chain, m, monitored, mode, chain_rngs)
         np.testing.assert_array_equal(shares, chained)
         np.testing.assert_array_equal(aware_blocked, aware_chain)
 

@@ -17,9 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.serving.engine as engine_module
-from repro.community import CommunityConfig, PagePool
-from repro.core.batch_rank import batched_deterministic_order
-from repro.core.kernels import merge_repair
+from repro.community import CommunityConfig
+from repro.core.kernels import get_backend, merge_repair
 from repro.core.policy import (
     DETERMINISTIC_POLICY,
     RECOMMENDED_POLICY,
@@ -342,7 +341,7 @@ def test_lazy_repair_matches_eager_merge_repair(seed, divisor, steps):
                 engine._refresh_order()
             pop = engine.state.popularity
             if kind == "drop" or dirty.size >= n // 2:
-                eager = batched_deterministic_order(
+                eager = get_backend().rank_day(
                     pop[None, :], None, "random", [tie_rng]
                 )[0]
                 assert engine._side.size == 0

@@ -19,7 +19,6 @@ Four contracts are pinned here:
   default to it.
 """
 
-import json
 import math
 import sys
 import threading
@@ -30,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.community.config import DEFAULT_COMMUNITY
-from repro.core.kernels import get_backend, set_kernel_instrumentation
-from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
+from repro.core.kernels import VALID_KERNELS, get_backend, set_kernel_instrumentation
+from repro.core.policy import RECOMMENDED_POLICY
 from repro.serving.bench import (
     measure_telemetry_overhead,
     seed_steady_state_awareness,
@@ -43,7 +42,7 @@ from repro.serving.figures import (
     telemetry_series_figure,
 )
 from repro.serving.config import ServingConfig, build_router
-from repro.serving.sweep import SweepVariant, run_sweep, variant_grid
+from repro.serving.sweep import run_sweep, variant_grid
 from repro.serving.workload import (
     StreamingWorkload,
     WorkloadConfig,
@@ -201,6 +200,55 @@ class TestSlidingWindow:
 # --------------------------------------------------------------- spans
 
 
+def _small_kernel_args(kernel):
+    """Positional arguments for one small ``kernel`` call, fixed by seed."""
+    R, n, m = 3, 12, 10
+    rng = np.random.default_rng(7)
+    rngs = list(spawn_rngs(0, R))
+    rankings = np.argsort(-rng.random((R, n)), axis=1)
+    aware = np.floor(rng.random((R, n)) * m)
+    shares_by_rank = np.full(n, 1.0 / n)
+    if kernel == "rank_day":
+        return (np.round(rng.random((R, n)), 1), None, "random", rngs)
+    if kernel == "awareness_update":
+        visits = rng.integers(0, 3, size=(R, n)).astype(float)
+        return (aware, m, visits, "stochastic", rngs)
+    if kernel == "visit_allocate":
+        return (rankings, shares_by_rank, 5.0, "stochastic", rngs)
+    if kernel == "promotion_merge":
+        return (rankings, rng.random((R, n)) < 0.3, 1, 0.5, rngs)
+    if kernel == "lane_repair":
+        popularity = [rng.random(n) for _ in range(R)]
+        orders = [np.argsort(-lane) for lane in popularity]
+        dirty = [np.array([1, 5]) for _ in range(R)]
+        for lane in popularity:
+            lane[[1, 5]] = rng.random(2)
+        return (orders, popularity, dirty)
+    if kernel == "feedback_flush":
+        touched = np.array([0, 4, 7, 20])
+        return (
+            aware.ravel(), np.zeros(R * n), rng.random(R * n),
+            np.zeros(R * n, dtype=bool), touched, np.array([1.0, 2.0, 1.0, 3.0]), m,
+        )
+    if kernel == "day_tail":
+        return (rankings, shares_by_rank, 5.0, "stochastic", rngs, aware, m)
+    raise AssertionError("no inputs for kernel %r" % kernel)
+
+
+def _assert_same(ours, theirs):
+    """Equal arrays (or sequences of them), generator states included."""
+    if isinstance(ours, (tuple, list)):
+        assert len(ours) == len(theirs)
+        for mine, other in zip(ours, theirs, strict=True):
+            _assert_same(mine, other)
+    elif isinstance(ours, np.random.Generator):
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    elif isinstance(ours, np.ndarray):
+        assert np.array_equal(ours, theirs)
+    else:
+        assert ours == theirs
+
+
 class TestSpans:
     def test_span_table_accumulates(self):
         table = SpanTable()
@@ -212,21 +260,24 @@ class TestSpans:
         assert report["span_rank_seconds"] == 0.75
         assert report["span_flush_calls"] == 1.0
 
-    def test_timed_backend_is_transparent_and_records(self):
+    @pytest.mark.parametrize("kernel", VALID_KERNELS + ("day_tail",))
+    def test_timed_backend_is_transparent_and_records(self, kernel):
         table = SpanTable()
         raw = get_backend()
         timed = TimedKernelBackend(raw, table)
-        scores = np.random.default_rng(0).random((3, 50))
-        ours = timed.rank_day(
-            scores, None, "index", list(spawn_rngs(0, 3))
-        )
-        theirs = raw.rank_day(
-            scores, None, "index", list(spawn_rngs(0, 3))
-        )
-        assert np.array_equal(ours, theirs)
+        # Equal seeds give equal inputs; in-place kernels write into them.
+        ours_args = _small_kernel_args(kernel)
+        theirs_args = _small_kernel_args(kernel)
+        ours = getattr(timed, kernel)(*ours_args)
+        theirs = getattr(raw, kernel)(*theirs_args)
+        _assert_same(ours, theirs)
+        _assert_same(ours_args, theirs_args)
         report = table.as_dict()
-        assert report["span_rank_day@numpy_calls"] == 1.0
-        assert report["span_rank_day@numpy_seconds"] >= 0.0
+        assert report["span_%s@numpy_calls" % kernel] == 1.0
+        assert report["span_%s@numpy_seconds" % kernel] >= 0.0
+        # day_tail's inner visit_allocate/awareness_update chain runs on the
+        # raw backend, so the composite is the only span.
+        assert len(table) == 1
 
     def test_kernel_instrumentation_hook(self):
         recorder = TelemetryRecorder(window=8)
